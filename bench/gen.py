@@ -10,6 +10,7 @@ the layers being timed.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from itertools import product as iproduct
 
 OPS = ("meet", "join", "oplus", "odot")
@@ -296,3 +297,42 @@ def member_brute_force(size: int, rels: dict, n: int) -> bool:
                         all((m[p], m[q]) in target[y] for m in maps):
                     return False
     return True
+
+
+def partial_orders(size: int) -> list[frozenset]:
+    """Every partial order on range(size), as a set of pairs."""
+    loops = frozenset((p, p) for p in range(size))
+    offdiag = [(p, q) for p in range(size) for q in range(size) if p != q]
+    out = []
+    for r in range(len(offdiag) + 1):
+        for extra in combinations(offdiag, r):
+            rel = loops | frozenset(extra)
+            if all((q, p) not in rel for p, q in extra) and \
+                    all((p, s) in rel for p, q in rel for q2, s in rel
+                        if q == q2):
+                out.append(rel)
+    return out
+
+
+def members(n: int, max_size: int) -> list[tuple[int, dict]]:
+    """Every member of the dual category with at most max_size points, one
+    per isomorphism class, as (size, relations): each partial order with
+    each choice of subsets of it for the other relations, kept when the
+    brute-force separation test passes."""
+    seqs = good_sequences(n)
+    top, others = seqs[-1], seqs[:-1]
+    out, seen = [], set()
+    for size in range(max_size + 1):
+        for order in partial_orders(size):
+            pairs = sorted(order)
+            subsets = [frozenset(c) for r in range(len(pairs) + 1)
+                       for c in combinations(pairs, r)]
+            for choice in iproduct(subsets, repeat=len(others)):
+                rels = {top: order, **dict(zip(others, choice))}
+                if not member_brute_force(size, rels, n):
+                    continue
+                form = canonical_form(size, rels)
+                if form not in seen:
+                    seen.add(form)
+                    out.append((size, rels))
+    return out

@@ -1,4 +1,4 @@
-"""Run one benchmark workload and print its metrics as one JSON line.
+"""Run one benchmark workload and print its metrics as a JSON line.
 
     python3 bench/run.py --workload coproduct --seed 1 --seconds 20 --trace 0
 
@@ -10,8 +10,9 @@ program; every later round must reproduce them.  ``--trace 0`` reports
 the end-to-end metrics, ``--trace 1`` the per-layer metrics, and writes
 the spans and counts to ``bench/out/``.  Times are given at a reference
 host speed (see ``HostSpeed``) and an item's time is its median over the
-rounds; a traced run times every other round with spans on, and the
-rounds without spans give the tracing overhead.
+rounds.  The last line of output is the result; the line before it holds
+the same times without the host-speed correction, and the median
+correction factor.
 """
 from __future__ import annotations
 
@@ -34,7 +35,11 @@ import gen  # noqa: E402
 import workloads  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
-SETUP_REPEATS = 5
+# Set-ups per run.  One short set-up (0.05-0.15 s) varies by a third
+# from the next, so its median needs many; roundtrip's set-up lasts about
+# a second, is corrected in 0.1 s segments, and five keep its run short.
+SETUP_REPEATS = 15
+SETUP_REPEATS_BY_WORKLOAD = {"roundtrip": 5}
 MIN_ROUNDS = 3
 TAIL_BEYOND = 10
 MIN_ITEMS_FOR_TAIL = 40
@@ -75,10 +80,23 @@ class Program:
 
 def checked(item, out) -> list:
     """The item's check failures; a check that raises is one failure."""
+    if isinstance(out, Exception):
+        return [f"raised {out!r}"]
     try:
         return item.check(out)
     except Exception as exc:  # a malformed output must not end the run
         return [f"check raised {exc!r}"]
+
+
+def digest(item, out):
+    """The item's digest of out, or None when out is an exception or the
+    digest raises; None never equals the digest of a checked output."""
+    if isinstance(out, Exception):
+        return None
+    try:
+        return item.digest(out)
+    except Exception:
+        return None
 
 
 def percentile_rank(count: int) -> int:
@@ -95,7 +113,8 @@ class HostSpeed:
     that last from under a second to over twenty seconds; runs made one
     after another differed by up to 70% in median item time on identical
     items.  Dividing a time by ``factor()`` measured around it gives the
-    time at the reference speed REF_S, which the program does not move.
+    time at the reference speed REF_S.  The calibration runs with the
+    garbage collector off, so the program's heap does not move it.
     """
 
     REF_S = 0.36e-3           # the calibration's time in a fast phase
@@ -106,60 +125,122 @@ class HostSpeed:
         self.tables = power.tables(power.close((5, 19)))
 
     def factor(self) -> float:
-        best = float("inf")
-        for _ in range(self.REPEATS):
-            start = time.perf_counter()
-            gen.homs_backtrack(self.tables, 2)
-            best = min(best, time.perf_counter() - start)
+        gc.disable()
+        try:
+            best = float("inf")
+            for _ in range(self.REPEATS):
+                start = time.perf_counter()
+                gen.homs_backtrack(self.tables, 2)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
         return best / self.REF_S
 
 
-def timed(host: HostSpeed, fn, *args):
-    """fn(*args), its time, and the host-speed factor around it."""
-    before = host.factor()
-    start = time.perf_counter()
-    out = fn(*args)
-    elapsed = time.perf_counter() - start
-    return out, elapsed, (before + host.factor()) / 2
+class Stopwatch:
+    """Raw times grouped into segments of at least CALIBRATE_EVERY_S of
+    work.  Each segment is divided by the mean of the host-speed factors
+    measured just before and just after it, which gives its times at the
+    reference speed; the calibrations themselves are not timed."""
+
+    def __init__(self, host: HostSpeed):
+        self.host = host
+        self.last = host.factor()
+        self.pending: list = []
+        self.work = 0.0
+        self.factors: list[float] = []
+
+    def add(self, took: float, entry=None, work: float = 0.0) -> list:
+        """Record raw seconds for entry, of a piece of work that lasted
+        ``took + work``; returns (entry, took, scale) for every entry of the
+        segment this closes, or nothing."""
+        self.pending.append((entry, took))
+        self.work += took + work
+        return self.close() if self.work >= CALIBRATE_EVERY_S else []
+
+    def close(self) -> list:
+        if not self.pending:
+            return []
+        now = self.host.factor()
+        scale = (self.last + now) / 2
+        self.factors.append(scale)
+        out = [(entry, took, scale) for entry, took in self.pending]
+        self.last, self.pending, self.work = now, [], 0.0
+        return out
 
 
-def set_up(setup, seed: int, tr) -> tuple:
-    """Import the program, make the inputs and warm the program's caches."""
+def set_up(host: HostSpeed, setup, seed: int, tr) -> tuple:
+    """Import the program, make the inputs and warm the program's caches.
+    Returns the program, the items, the set-up time at the reference speed,
+    the raw set-up time and the spans' seconds at the reference speed."""
+    watch = Stopwatch(host)
+    scaled, raw, spans = 0.0, 0.0, defaultdict(float)
+    start, mark = time.perf_counter(), tr.mark()
+
+    def lap(last: bool = False) -> None:
+        nonlocal scaled, raw, start, mark
+        took = time.perf_counter() - start
+        done = watch.add(took, tr.totals(mark))
+        for totals, t, scale in done + (watch.close() if last else []):
+            scaled += t / scale
+            raw += t
+            for name, v in totals.items():
+                spans[name] += v / scale
+        start, mark = time.perf_counter(), tr.mark()
+
     pmv = Program()
-    return pmv, setup(pmv, seed, tr)
+    items = setup(pmv, seed, tr, lap)
+    lap(last=True)
+    return pmv, items, scaled, raw, spans
 
 
-def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
+def item_metrics(times: list) -> dict:
+    """wall_s, item_p50_ms and item_tail_ms, with their units, from each
+    item's times over the rounds; an item's time is its median."""
+    item_s = sorted(statistics.median(t) for t in times)
+    out = {"wall_s": (sum(item_s), "s"),
+           "item_p50_ms": (1000 * statistics.median(item_s), "ms")}
+    if len(item_s) >= MIN_ITEMS_FOR_TAIL:
+        out["item_tail_ms"] = (
+            1000 * item_s[percentile_rank(len(item_s))], "ms")
+    return out
+
+
+def run(workload: str, seed: int, seconds: float, traced: bool) -> tuple:
+    """The run's result, and its raw figures: times without the host-speed
+    correction and the median correction factor."""
     host = HostSpeed()
     tr = Tracer(traced)
     setup = workloads.SETUPS[workload]
-    setup_times, from_tables = [], []
-    for _ in range(SETUP_REPEATS):
-        mark = tr.mark()
-        (pmv, items), took, scale = timed(host, set_up, setup, seed, tr)
-        setup_times.append(took / scale)
-        from_tables.append(tr.totals(mark)["algebra.from_tables"] / scale)
+    setup_s, setup_raw, from_tables = [], [], []
+    for _ in range(SETUP_REPEATS_BY_WORKLOAD.get(workload, SETUP_REPEATS)):
+        # as for the items below: each set-up starts from a collected heap
+        gc.collect()
+        pmv, items, took, raw, spans = set_up(host, setup, seed, tr)
+        setup_s.append(took)
+        setup_raw.append(raw)
+        from_tables.append(spans["algebra.from_tables"])
     gc.collect()
     gc.freeze()
 
-    # times[k][r]: item k in round r, at the reference speed.  The host's
-    # speed is measured after every CALIBRATE_EVERY_S of items, and each
-    # item is scaled by the mean of the measurements before and after it.
-    # A traced run alternates rounds without and with spans, so both see
-    # the same phases of the host.
+    # times[k][r]: item k in round r at the reference speed; raw[k][r]
+    # without the correction.
+    watch = Stopwatch(host)
     times = [[] for _ in items]
+    raw = [[] for _ in items]
     layer_rounds: list[dict] = []
     digests, first_fail = [], []
     failed = 0
     wrong: list[str] = []
     rounds, elapsed = 0, 0.0
-    last = host.factor()
-    while rounds < MIN_ROUNDS + 2 * traced or elapsed < seconds:
-        tr.enabled = traced and rounds % 2 == 1
-        gc.collect()
-        outputs, pending, spans = [], [], defaultdict(float)
-        since = 0.0
+    while rounds < MIN_ROUNDS or elapsed < seconds:
+        outputs, spans = [], defaultdict(float)
         for k, item in enumerate(items):
+            # Every item starts from a collected heap, so neither its time
+            # nor the peak memory depends on the garbage left by the items
+            # before it: in the seeded order, a 7-point membership space
+            # run after the 8-point one raised the peak by up to 10%.
+            gc.collect()
             if item.prepare:
                 item.prepare()
             tr.item = item.id
@@ -170,31 +251,31 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
             except Exception as exc:  # an operation that fails is counted
                 out = exc
             took = time.perf_counter() - start
-            if tr.enabled and item.extra:
+            if traced and item.extra:
                 item.extra(tr)
             outputs.append(out)
-            pending.append((k, took, tr.totals(mark)))
-            since += took
             elapsed += took
-            if since >= CALIBRATE_EVERY_S or k == len(items) - 1:
-                now = host.factor()
-                scale = (last + now) / 2
-                for j, took_j, totals in pending:
-                    times[j].append(took_j / scale)
-                    for name, t in totals.items():
-                        spans[name] += t / scale
-                last, pending, since = now, [], 0.0
-        if tr.enabled:
-            layer_rounds.append(spans)
+            done = watch.add(took, (k, tr.totals(mark)),
+                             time.perf_counter() - start - took)
+            if k == len(items) - 1:
+                done += watch.close()
+            for (j, totals), t, scale in done:
+                times[j].append(t / scale)
+                raw[j].append(t)
+                for name, v in totals.items():
+                    spans[name] += v / scale
+        layer_rounds.append(spans)
         rounds += 1
         for k, (item, out) in enumerate(zip(items, outputs)):
             if rounds == 1:
-                fails = ([f"raised {out!r}"] if isinstance(out, Exception)
-                         else checked(item, out))
+                fails = checked(item, out)
+                d = digest(item, out) if not fails else None
+                if not fails and d is None:
+                    fails = ["digest raised"]
                 wrong += [f"{item.id}: {f}" for f in fails]
                 first_fail.append(bool(fails))
-                digests.append(None if fails else item.digest(out))
-            elif not first_fail[k] and item.digest(out) != digests[k]:
+                digests.append(d)
+            elif not first_fail[k] and digest(item, out) != digests[k]:
                 wrong.append(f"{item.id}: round {rounds} differs from round 1")
                 first_fail[k] = True
             failed += first_fail[k]
@@ -203,31 +284,26 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
 
     result = {"correct": not wrong, "attempted": rounds * len(items),
               "failed": failed}
+    measured = item_metrics(times)
+    uncorrected = {**{k: v for k, (v, _) in item_metrics(raw).items()},
+                   "setup_s": statistics.median(setup_raw),
+                   "host_factor_p50": statistics.median(watch.factors),
+                   "rounds": rounds}
     if traced:
-        # the first round warms the process, so it is left out here
-        plain = sum(statistics.median(t[2::2]) for t in times)
-        with_spans = sum(statistics.median(t[1::2]) for t in times)
-        result["metrics"] = layer_metrics(tr, layer_rounds, from_tables,
-                                          plain, with_spans)
+        metrics = layer_metrics(tr, layer_rounds, from_tables,
+                                measured["wall_s"][0])
         tr.write(BENCH / "out" / f"trace-{workload}-seed{seed}.json")
-        return result
-    item_s = sorted(statistics.median(t) for t in times)
-    metrics = {
-        "wall_s": (sum(item_s), "s"),
-        "item_p50_ms": (1000 * statistics.median(item_s), "ms"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                        / 1024, "MB"),
-        "setup_s": (statistics.median(setup_times), "s"),
-    }
-    if len(items) >= MIN_ITEMS_FOR_TAIL:
-        metrics["item_tail_ms"] = (
-            1000 * item_s[percentile_rank(len(items))], "ms")
+    else:
+        metrics = {**measured,
+                   "peak_rss_mb": (resource.getrusage(
+                       resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+                   "setup_s": (statistics.median(setup_s), "s")}
     result["metrics"] = {name: {"value": v, "unit": u}
                          for name, (v, u) in metrics.items()}
-    return result
+    return result, uncorrected
 
 
-def layer_metrics(tr, layer_rounds, from_tables, plain, with_spans) -> dict:
+def layer_metrics(tr, layer_rounds, from_tables, wall_s) -> dict:
     rounds = len(layer_rounds)
     counts = tr.counts
 
@@ -247,9 +323,8 @@ def layer_metrics(tr, layer_rounds, from_tables, plain, with_spans) -> dict:
              "duality.dual_algebra_elements.maps"), "us")
     out["duality.xn_membership.alloc_peak_mb"] = (
         counts["duality.xn_membership.alloc_peak_bytes"] / 2 ** 20, "MB")
-    out["traced.wall_s"] = (with_spans, "s")
-    out["traced.overhead_pct"] = (100 * (with_spans / plain - 1), "%")
-    return {name: {"value": v, "unit": u} for name, (v, u) in out.items()}
+    out["traced.wall_s"] = (wall_s, "s")
+    return out
 
 
 def main() -> None:
@@ -260,8 +335,10 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
-    print(json.dumps(run(args.workload, args.seed, args.seconds,
-                         bool(args.trace))))
+    result, uncorrected = run(args.workload, args.seed, args.seconds,
+                              bool(args.trace))
+    print(json.dumps({"uncorrected": uncorrected}))
+    print(json.dumps(result))
 
 
 if __name__ == "__main__":

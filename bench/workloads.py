@@ -6,6 +6,10 @@ timed part; ``check`` verifies the output of the first round against
 the benchmark's own computations, and ``digest`` lets every later round
 be compared with that checked output.  ``extra`` holds calls that only
 the traced run makes, to time the parts of a composite call.
+
+A set-up function takes the program, the seed, the tracer and ``lap``,
+which it calls after building each item, so that the caller can measure
+the host's speed between parts of a long set-up.
 """
 from __future__ import annotations
 
@@ -97,7 +101,7 @@ COPRODUCT_POWERS = ((2, 1, 1), (3, 1, 1), (4, 1, 1), (2, 2, 1), (2, 1, 2),
 BRUTE_FORCE_MAPS = 20_000
 
 
-def setup_coproduct(pmv, seed: int, tr) -> list:
+def setup_coproduct(pmv, seed: int, tr, lap) -> list:
     rng = random.Random(seed)
     _warm(pmv, (2, 3, 4))
     by_n = {}
@@ -119,7 +123,11 @@ def setup_coproduct(pmv, seed: int, tr) -> list:
         pick = {1: diagonal, 2: full}
         picks.append((n, by_n[n][pick[ka]], by_n[n][pick[kb]], ka + kb))
     rng.shuffle(picks)
-    return [_coproduct_item(pmv, tr, i, *p) for i, p in enumerate(picks)]
+    items = []
+    for i, p in enumerate(picks):
+        items.append(_coproduct_item(pmv, tr, i, *p))
+        lap()
+    return items
 
 
 def _coproduct_item(pmv, tr, index, n, ta, tb, power_k) -> Item:
@@ -202,14 +210,18 @@ def _coproduct_item(pmv, tr, index, n, ta, tb, power_k) -> Item:
 ROUNDTRIP_POWERS = ((4, 2), (2, 3), (1, 5), (3, 3), (1, 6), (2, 4))
 # evaluation_eps on discrete spaces (n, points), duals of PL_n^points.
 ROUNDTRIP_DISCRETE = ((1, 3), (2, 2), (3, 2), (4, 1))
+# evaluation_eps on every member of the dual category with at most k
+# points, (n, k), as enumerated by gen.members.
+ROUNDTRIP_MEMBERS = ((1, 3), (2, 2), (3, 2))
 
 
-def setup_roundtrip(pmv, seed: int, tr) -> list:
+def setup_roundtrip(pmv, seed: int, tr, lap) -> list:
     """evaluation_e on every subalgebra of the chain square (n = 2, 3, 4),
     every 3-generated subalgebra of PL_2^3 and the powers; evaluation_eps
-    on the duals of the square subalgebras and on discrete spaces.  The
-    seed relabels every algebra and orders the items: the inputs change,
-    the population and so the cost profile of a round do not."""
+    on the duals of the square subalgebras, on discrete spaces and on the
+    enumerated members of the dual category.  The seed relabels every
+    algebra and every enumerated member and orders the items: the inputs
+    change, the population and so the cost profile of a round do not."""
     rng = random.Random(seed)
     _warm(pmv, (1, 2, 3, 4))
     squares = []
@@ -223,15 +235,25 @@ def setup_roundtrip(pmv, seed: int, tr) -> list:
                              key=lambda s: (len(s), sorted(s)))]
     powers = [(n, gen.Power(n, k), range((n + 1) ** k))
               for n, k in ROUNDTRIP_POWERS]
-    items = [_e_item(pmv, tr, n, power.tables(s, rng))
-             for n, power, s in squares + cubes + powers]
+    items = []
+    for n, power, s in squares + cubes + powers:
+        items.append(_e_item(pmv, tr, n, power.tables(s, rng)))
+        lap()
     for n, power, s in squares:
         points = gen.homs_backtrack(power.tables(s), n)
         items.append(_eps_item(pmv, tr, n, len(points),
                                gen.dual_relations(points, n)))
+        lap()
     for n, size in ROUNDTRIP_DISCRETE:
         items.append(_eps_item(pmv, tr, n, size,
                                gen.discrete_relations(n, size)))
+    for n, k in ROUNDTRIP_MEMBERS:
+        for size, rels in gen.members(n, k):
+            perm = rng.sample(range(size), size)
+            rels = {y: frozenset((perm[p], perm[q]) for p, q in pairs)
+                    for y, pairs in rels.items()}
+            items.append(_eps_item(pmv, tr, n, size, rels))
+        lap()
     rng.shuffle(items)
     for i, item in enumerate(items):
         item.id = f"roundtrip/{i}/{item.id}"
@@ -321,7 +343,7 @@ def _eps_item(pmv, tr, n, size, rels) -> Item:
 MEMBERSHIP_SPACES = (
     # seeded, each well under a millisecond: below the median
     ("dual", 2, None, 2), ("dual", 3, None, 2), ("dual", 4, None, 2),
-    ("poset", 2, 5, 4), ("poset", 2, 6, 4),
+    ("poset", 2, 4, 2), ("poset", 2, 5, 2), ("poset", 2, 6, 4),
     ("poset-extra", 2, 6, 3), ("poset-cycle", 2, 6, 3),
     # the median: eight equal spaces, with the (1, 3) and (2, 2)
     # enumerations of about the same cost
@@ -362,7 +384,7 @@ def _seeded_subalgebra(rng, power, gens: int, lo: int, hi: int) -> frozenset:
             return sub
 
 
-def setup_membership(pmv, seed: int, tr) -> list:
+def setup_membership(pmv, seed: int, tr, lap) -> list:
     rng = random.Random(seed)
     _warm(pmv, (1, 2, 3, 4))
     powers = {n: gen.Power(n, 2) for n in (2, 3, 4)}
@@ -383,6 +405,7 @@ def setup_membership(pmv, seed: int, tr) -> list:
                 rels = _perturb(rng, n, size_, rels, how)
             items.append(_membership_item(
                 pmv, tr, f"{len(items)}/{kind}", n, size_, rels, not how))
+            lap()
     for n, k in MEMBERSHIP_ENUMERATE:
         items.append(_enumerate_item(pmv, n, k))
     rng.shuffle(items)
@@ -476,7 +499,7 @@ SN_FORMATS = (("json", []), ("irreducible", ["--irreducible"]),
 PAIR_TEST_MAX_N = 6
 
 
-def setup_sn_lattice(pmv, seed: int, tr) -> list:
+def setup_sn_lattice(pmv, seed: int, tr, lap) -> list:
     rng = random.Random(seed)
     items = []
     for n, count in SN_ITEMS:
