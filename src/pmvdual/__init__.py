@@ -28,7 +28,7 @@ from .relations import (BinRel, GoodSeq, compute_Sn, good_sequence_witness,
 from .skeleton import (adjunction_check, boolean_power, priestley_dual,
                        priestley_power, skeleton, skeleton_unit)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AxiomViolationError", "BinRel", "BudgetExceededError", "Chain",

@@ -6,12 +6,12 @@ construction; the first violated axiom is reported with a witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
 from .chain import OP_NAMES, Chain
-from .errors import AxiomViolationError, BudgetExceededError, SizeLimitError
+from .errors import (AxiomViolationError, BudgetExceededError,
+                     MalformedInputError, SizeLimitError, as_int)
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -20,7 +20,11 @@ PARTITION_SCAN_MAX = 12
 
 
 def _as_table(rows, size: int) -> Table:
-    table = tuple(tuple(int(v) for v in row) for row in rows)
+    try:
+        table = tuple(tuple(int(v) for v in row) for row in rows)
+    except TypeError:
+        raise MalformedInputError(
+            "an operation table must be a list of rows of integers") from None
     if len(table) != size or any(len(row) != size for row in table):
         raise AxiomViolationError("table-shape", (size,))
     for row in table:
@@ -84,6 +88,8 @@ class FinAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "FinAlgebra":
+        if not isinstance(data, dict):
+            raise MalformedInputError("an algebra must be a JSON object")
         return algebra_from_tables(
             {name: data[name] for name in OP_NAMES},
             {"zero": data["zero"], "one": data["one"]},
@@ -93,9 +99,10 @@ class FinAlgebra:
 
 def algebra_from_tables(tables: dict, consts: dict, label: str = "") -> FinAlgebra:
     """Build a validated algebra; rejects with the first violated axiom."""
-    size = len(tables["meet"])
+    meet = tables["meet"]
+    size = len(meet) if isinstance(meet, (list, tuple)) else 0
     parsed = {name: _as_table(tables[name], size) for name in OP_NAMES}
-    zero, one = int(consts["zero"]), int(consts["one"])
+    zero, one = as_int(consts["zero"], "zero"), as_int(consts["one"], "one")
     if not (0 <= zero < size and 0 <= one < size):
         raise AxiomViolationError("constants-range", (zero, one))
     return FinAlgebra(size, parsed["meet"], parsed["join"], parsed["oplus"],
@@ -392,10 +399,6 @@ class Congruence:
                 cls[x] = i
         return tuple(cls)
 
-    def refines(self, other: "Congruence") -> bool:
-        ocls = other.class_of()
-        return all(len({ocls[x] for x in bl}) == 1 for bl in self.blocks)
-
     def to_json(self) -> dict:
         return {"blocks": [list(bl) for bl in self.blocks]}
 
@@ -457,8 +460,9 @@ def congruences_partition_scan(a: FinAlgebra) -> list[Congruence]:
     return found
 
 
-def principal_congruence(a: FinAlgebra, x: int, y: int) -> Congruence:
-    """Smallest congruence identifying x and y, by closure."""
+def _congruence_generated(a: FinAlgebra, pairs) -> Congruence:
+    """Smallest congruence identifying each of the pairs: union-find
+    closed under the operations."""
     parent = list(range(a.size))
 
     def find(u):
@@ -474,7 +478,8 @@ def principal_congruence(a: FinAlgebra, x: int, y: int) -> Congruence:
             return True
         return False
 
-    union(x, y)
+    for (x, y) in pairs:
+        union(x, y)
     changed = True
     while changed:
         changed = False
@@ -490,53 +495,19 @@ def principal_congruence(a: FinAlgebra, x: int, y: int) -> Congruence:
     return _blocks_from_classes(cls)
 
 
-def _join_congruence(a: FinAlgebra, th1: Congruence, th2: Congruence) -> Congruence:
-    parent = list(range(a.size))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    for th in (th1, th2):
-        for bl in th.blocks:
-            for u in bl[1:]:
-                union(bl[0], u)
-    # the union of two congruences is transitive-closed by union-find and
-    # already compatible with the operations (join of congruences)
-    changed = True
-    while changed:
-        changed = False
-        for name in OP_NAMES:
-            t = a.table(name)
-            for u in range(a.size):
-                for v in range(u + 1, a.size):
-                    if find(u) == find(v):
-                        for z in range(a.size):
-                            if find(t[u][z]) != find(t[v][z]):
-                                union(t[u][z], t[v][z])
-                                changed = True
-    cls = tuple(find(u) for u in range(a.size))
-    return _blocks_from_classes(cls)
-
-
 def congruences_principal_closure(a: FinAlgebra) -> list[Congruence]:
     delta = _blocks_from_classes(tuple(range(a.size)))
     found = {delta}
-    principals = {principal_congruence(a, x, y)
+    principals = {_congruence_generated(a, [(x, y)])
                   for x in range(a.size) for y in range(x + 1, a.size)}
     found |= principals
     frontier = list(found)
     while frontier:
         th = frontier.pop()
         for p in principals:
-            joined = _join_congruence(a, th, p)
+            joined = _congruence_generated(
+                a, [(bl[0], u) for c in (th, p) for bl in c.blocks
+                    for u in bl[1:]])
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)

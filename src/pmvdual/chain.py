@@ -65,14 +65,6 @@ class Chain:
         return Chain(int(data["n"]))
 
 
-def chain_op(c: Chain, op: str, x: int, y: int) -> int:
-    return c.op(op, x, y)
-
-
-def tau(c: Chain, d: int, x: int) -> int:
-    return c.tau(d, x)
-
-
 @dataclass(frozen=True)
 class Subalgebra:
     """A subuniverse of the chain, canonicalized as a sorted numerator tuple."""

@@ -11,8 +11,8 @@ import sys
 
 from .algebra import FinAlgebra
 from .closure import is_algebraically_closed, is_existentially_closed
-from .duality import (StructSpace, evaluation_e, struct_space_to_dot,
-                      x2_axiom_check, xn_membership)
+from .duality import (StructSpace, _expect_n, evaluation_e,
+                      struct_space_to_dot, x2_axiom_check, xn_membership)
 from .errors import (AxiomViolationError, BudgetExceededError,
                      MalformedSequenceError, NotASubalgebraError,
                      SizeLimitError, WrongSignatureError)
@@ -152,6 +152,7 @@ def cmd_oracle_diff(args, out) -> int:
 
 def cmd_export(args, out) -> int:
     space = StructSpace.from_json(_load_json(args.space))
+    _expect_n(space, args.n)
     out.write(struct_space_to_dot(space))
     return EXIT_OK
 

@@ -6,8 +6,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import DEFAULT_HOM_BUDGET, FinAlgebra
-from .duality import (StructSpace, dual_space, relation_keys,
-                      struct_morphism_maps, xn_membership)
+from .duality import (StructSpace, _space_of_points, dual_points,
+                      relation_keys, struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
 from .relations import top_seq
 
@@ -125,25 +125,28 @@ def _monotone_assignment(n: int, assign: dict) -> bool:
 
 # -- the dual closure properties ---------------------------------------------------
 
+def _surjections(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
+    return [m for m in struct_morphism_maps(x, y) if len(set(m)) == y.size]
+
+
 def _check_lifting(x: StructSpace, n: int, bound: int,
                    surjective_lift: bool) -> ClosureReport:
     member = xn_membership(x, n)
     if not member.member:
         raise NonMemberError(f"space fails membership: {member.witness}")
     tests = enumerate_xn_structures(n, bound)
+    lifts = [_surjections(x, y) if surjective_lift
+             else struct_morphism_maps(x, y) for y in tests]
     for zi, z in enumerate(tests):
-        phis = struct_morphism_maps(x, z, surjective=True)
+        phis = _surjections(x, z)
         if not phis:
             continue
         for yi, y in enumerate(tests):
-            psis = struct_morphism_maps(y, z, surjective=True)
-            if not psis:
-                continue
-            lambdas = struct_morphism_maps(x, y, surjective=surjective_lift)
+            psis = _surjections(y, z)
             for phi in phis:
                 for psi in psis:
                     if any(all(psi[lam[p]] == phi[p] for p in range(x.size))
-                           for lam in lambdas):
+                           for lam in lifts[yi]):
                         continue
                     return ClosureReport(
                         False, "no lifting",
@@ -181,11 +184,22 @@ def dual_shape_report(x: StructSpace) -> ClosureReport:
     return ClosureReport(True, "dual discrete with no extra relations")
 
 
+def _member_dual_space(a: FinAlgebra, n: int, budget: int) -> StructSpace:
+    """The dual space, once its points are seen to separate the elements,
+    that is, once the algebra is seen to be a member."""
+    homs = dual_points(a, n, budget=budget)
+    if len({tuple(h(t) for h in homs) for t in range(a.size)}) < a.size:
+        raise NonMemberError(
+            f"algebra is not in the quasi-variety of PL_{n}: its dual "
+            f"points do not separate its elements")
+    return _space_of_points(a, homs, n)
+
+
 def is_algebraically_closed(a: FinAlgebra, n: int,
                             budget: int = DEFAULT_HOM_BUDGET) -> ClosureReport:
     """True exactly when the dual is discrete with every other relation
     empty, equivalently when the algebra is a finite power of the chain."""
-    return dual_shape_report(dual_space(a, n, budget=budget))
+    return dual_shape_report(_member_dual_space(a, n, budget))
 
 
 def is_existentially_closed(a: FinAlgebra, n: int,
@@ -193,7 +207,7 @@ def is_existentially_closed(a: FinAlgebra, n: int,
     """No nontrivial finite algebra qualifies: a finite dual has every
     point isolated.  The one-element algebra (empty dual) is reported
     true but flagged degenerate."""
-    x = dual_space(a, n, budget=budget)
+    x = _member_dual_space(a, n, budget)
     if x.size == 0:
         return ClosureReport(True, "empty dual", degenerate=True)
     shape = dual_shape_report(x)

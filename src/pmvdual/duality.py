@@ -6,15 +6,16 @@ Topology plays no role at this scale; every finite space is discrete.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
                       congruences, hom_enumerate)
 from .chain import Chain
-from .errors import (InternalConsistencyError, NonMemberError,
-                     WrongSignatureError)
-from .relations import (BinRel, compute_Sn, format_frac, parse_seq_label,
+from .errors import (InternalConsistencyError, MalformedInputError,
+                     NonMemberError, WrongSignatureError, as_int)
+from .relations import (compute_Sn, format_frac, leq_rel, parse_seq_label,
                         sn_relations, top_seq)
 
 Pair = tuple[int, int]
@@ -73,12 +74,21 @@ class StructSpace:
 
     @staticmethod
     def from_json(data: dict) -> "StructSpace":
-        n = int(data["n"])
+        if not (isinstance(data, dict)
+                and isinstance(data.get("relations"), dict)):
+            raise MalformedInputError(
+                'a space must be a JSON object whose "relations" is an object')
+        n = as_int(data["n"], "n")
         rels = {}
         for label, pairs in data["relations"].items():
             key = parse_seq_label(label, n)
-            rels[key] = frozenset((int(p[0]), int(p[1])) for p in pairs)
-        return StructSpace(n, int(data["size"]), rels)
+            if not (isinstance(pairs, list) and all(
+                    isinstance(p, list) and len(p) == 2 for p in pairs)):
+                raise MalformedInputError(
+                    f"relation {label} must be a list of [x, y] pairs")
+            rels[key] = frozenset((as_int(u, "a point"), as_int(v, "a point"))
+                                  for u, v in pairs)
+        return StructSpace(n, as_int(data["size"], "size"), rels)
 
 
 @dataclass(frozen=True)
@@ -125,65 +135,88 @@ def alter_ego(n: int) -> StructSpace:
     return StructSpace(n, n + 1, rels)
 
 
-def struct_morphism_maps(x: StructSpace, y: StructSpace,
-                         surjective: bool = False) -> list[tuple[int, ...]]:
+def _relational_maps(
+        size: int, target_size: int,
+        edges: Iterable[tuple[int, int, frozenset[Pair]]],
+) -> Iterator[tuple[int, ...]]:
+    """Every map {0..size-1} -> {0..target_size-1} that sends each edge
+    (u, v, allowed) to a pair in allowed, in lexicographic order.
+
+    Homomorphisms as constraint satisfaction: each edge is filed under
+    its larger endpoint p, as one bitmask of the images of p allowed by
+    each image of the other endpoint, so a choice for p checks only the
+    edges that end at p.  The search keeps an explicit stack, so the
+    cost of a map does not grow with the number of points.
+    """
+    if size == 0:
+        yield ()
+        return
+    full = (1 << target_size) - 1
+    own = [full] * size
+    back: list[dict[int, list[int]]] = [{} for _ in range(size)]
+    for u, v, allowed in edges:
+        if u == v:
+            own[u] &= sum(1 << b for b in range(target_size)
+                          if (b, b) in allowed)
+            continue
+        p, q = max(u, v), min(u, v)
+        masks = back[p].setdefault(q, [full] * target_size)
+        for w in range(target_size):
+            masks[w] &= sum(1 << b for b in range(target_size)
+                            if ((w, b) if q == u else (b, w)) in allowed)
+    checks = [list(d.items()) for d in back]
+    decoded: dict[int, tuple[int, ...]] = {}
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        p = len(prefix)
+        mask = own[p]
+        for q, masks in checks[p]:
+            mask &= masks[prefix[q]]
+        images = decoded.get(mask)
+        if images is None:
+            images = decoded[mask] = tuple(
+                b for b in range(target_size) if mask >> b & 1)
+        if p == size - 1:
+            for b in images:
+                yield prefix + (b,)
+        else:
+            stack.extend([prefix + (b,) for b in reversed(images)])
+
+
+def _isomorphic(size: int,
+                relations: list[tuple[frozenset[Pair], frozenset[Pair]]]) -> bool:
+    """Whether an injective map of {0..size-1} to itself sends each pair
+    set of one structure into the matching pair set of the other.
+
+    With equal pair counts such a map is an isomorphism: it maps every
+    relation injectively, hence onto the other one.
+    """
+    if any(len(src) != len(tgt) for src, tgt in relations):
+        return False
+    distinct = frozenset((a, b) for a in range(size) for b in range(size)
+                         if a != b)
+    edges = [(u, v, tgt) for src, tgt in relations for (u, v) in src]
+    edges += [(u, v, distinct) for u in range(size)
+              for v in range(u + 1, size)]
+    return next(_relational_maps(size, size, edges), None) is not None
+
+
+def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
     """All structure-preserving maps x -> y, lexicographically ordered."""
-    if x.size == 0:
-        return [()] if (not surjective or y.size == 0) else []
-    if y.size == 0:
-        return []
-    keys = list(x.relations)
-    adj = {key: y.relations[key] for key in keys}
-    results: list[tuple[int, ...]] = []
-    assignment = [0] * x.size
-
-    def ok(point: int, image: int) -> bool:
-        for key in keys:
-            tpairs = adj[key]
-            for (u, v) in x.relations[key]:
-                if u == point and v <= point:
-                    if (image, assignment[v] if v < point else image) not in tpairs:
-                        return False
-                elif v == point and u <= point:
-                    if (assignment[u] if u < point else image, image) not in tpairs:
-                        return False
-        return True
-
-    def search(point: int) -> None:
-        if point == x.size:
-            if not surjective or len(set(assignment)) == y.size:
-                results.append(tuple(assignment))
-            return
-        for image in range(y.size):
-            if ok(point, image):
-                assignment[point] = image
-                search(point + 1)
-
-    search(0)
-    return results
+    return list(_relational_maps(
+        x.size, y.size, [(u, v, y.relations[key])
+                         for key, pairs in x.relations.items()
+                         for (u, v) in pairs]))
 
 
-def struct_morphisms(x: StructSpace, y: StructSpace,
-                     surjective: bool = False) -> list[StructMorphism]:
-    return [StructMorphism(x, y, m)
-            for m in struct_morphism_maps(x, y, surjective)]
+def struct_morphisms(x: StructSpace, y: StructSpace) -> list[StructMorphism]:
+    return [StructMorphism(x, y, m) for m in struct_morphism_maps(x, y)]
 
 
 def spaces_isomorphic(x: StructSpace, y: StructSpace) -> bool:
-    if x.n != y.n or x.size != y.size:
-        return False
-    for m in struct_morphism_maps(x, y):
-        if len(set(m)) != x.size:
-            continue
-        inv = [0] * x.size
-        for i, v in enumerate(m):
-            inv[v] = i
-        try:
-            StructMorphism(y, x, tuple(inv))
-        except ValueError:
-            continue
-        return True
-    return x.size == 0
+    return x.n == y.n and x.size == y.size and _isomorphic(
+        x.size, [(x.relations[key], y.relations[key]) for key in x.relations])
 
 
 # -- the two hom-functors -----------------------------------------------------
@@ -191,7 +224,10 @@ def spaces_isomorphic(x: StructSpace, y: StructSpace) -> bool:
 def dual_space(a: FinAlgebra, n: int,
                budget: int = DEFAULT_HOM_BUDGET) -> StructSpace:
     """Points are the homs into the chain; relations hold pointwise."""
-    homs = hom_enumerate(a, chain_algebra(n), budget=budget)
+    return _space_of_points(a, dual_points(a, n, budget=budget), n)
+
+
+def _space_of_points(a: FinAlgebra, homs: list[Hom], n: int) -> StructSpace:
     rels = {}
     for key, rel in sn_relations(n).items():
         pairs = set()
@@ -215,7 +251,11 @@ def dual_algebra_elements(x: StructSpace) -> list[tuple[int, ...]]:
 
 def dual_algebra(x: StructSpace) -> FinAlgebra:
     """Pointwise algebra on the morphisms into the dualizing structure."""
-    elems = dual_algebra_elements(x)
+    return _algebra_of_elements(x, dual_algebra_elements(x))
+
+
+def _algebra_of_elements(x: StructSpace,
+                         elems: list[tuple[int, ...]]) -> FinAlgebra:
     index = {e: i for i, e in enumerate(elems)}
     c = Chain(x.n)
 
@@ -253,9 +293,9 @@ def evaluation_e(a: FinAlgebra, n: int,
                  budget: int = DEFAULT_HOM_BUDGET) -> EvalEReport:
     """The map a |-> (u |-> u(a)) into the double dual."""
     homs = dual_points(a, n, budget=budget)
-    x = dual_space(a, n, budget=budget)
+    x = _space_of_points(a, homs, n)
     elems = dual_algebra_elements(x)
-    ealg = dual_algebra(x)
+    ealg = _algebra_of_elements(x, elems)
     index = {e: i for i, e in enumerate(elems)}
     images = []
     for t in range(a.size):
@@ -285,13 +325,14 @@ class EvalEpsReport:
 def evaluation_eps(x: StructSpace, n: int,
                    budget: int = DEFAULT_HOM_BUDGET) -> EvalEpsReport:
     """The map x |-> (alpha |-> alpha(x)) into the double dual space."""
-    member = xn_membership(x, n)
+    _expect_n(x, n)
+    elems = dual_algebra_elements(x)
+    member = _separation(x, elems)
     if not member.member:
         raise NonMemberError(f"space fails membership: {member.witness}")
-    ealg = dual_algebra(x)
-    elems = dual_algebra_elements(x)
-    y = dual_space(ealg, n, budget=budget)
+    ealg = _algebra_of_elements(x, elems)
     ypoints = dual_points(ealg, n, budget=budget)
+    y = _space_of_points(ealg, ypoints, n)
     index = {p.map: i for i, p in enumerate(ypoints)}
     images = []
     for pt in range(x.size):
@@ -332,14 +373,22 @@ class MembershipReport:
 def xn_membership(x: StructSpace, n: int) -> MembershipReport:
     """Separation test: morphisms into the dualizing structure must
     distinguish distinct points and avoid every absent relation pair."""
+    _expect_n(x, n)
+    return _separation(x, dual_algebra_elements(x))
+
+
+def _expect_n(x: StructSpace, n: int) -> None:
     if x.n != n:
         raise WrongSignatureError(f"space has n={x.n}, expected {n}")
-    maps = struct_morphism_maps(x, alter_ego(n))
+
+
+def _separation(x: StructSpace,
+                maps: list[tuple[int, ...]]) -> MembershipReport:
     for p in range(x.size):
         for q in range(p + 1, x.size):
             if not any(m[p] != m[q] for m in maps):
                 return MembershipReport(False, ("separation", p, q))
-    rels = sn_relations(n)
+    rels = sn_relations(x.n)
     for key in sorted(x.relations):
         pairs = x.relations[key]
         target = rels[key].pairs
@@ -352,14 +401,6 @@ def xn_membership(x: StructSpace, n: int) -> MembershipReport:
     return MembershipReport(True)
 
 
-def separating_embedding(x: StructSpace, n: int) -> list[tuple[int, ...]]:
-    """The product of all morphisms witnessing membership (on request)."""
-    report = xn_membership(x, n)
-    if not report.member:
-        raise NonMemberError(f"space fails membership: {report.witness}")
-    return struct_morphism_maps(x, alter_ego(n))
-
-
 @dataclass(frozen=True)
 class X2Report:
     axiom_a: bool
@@ -370,15 +411,6 @@ class X2Report:
     @property
     def passes(self) -> bool:
         return self.axiom_a and self.axiom_b and self.axiom_c
-
-
-def _upsets(order: frozenset[Pair], size: int) -> list[frozenset[int]]:
-    out = []
-    for mask in range(1 << size):
-        s = frozenset(i for i in range(size) if mask >> i & 1)
-        if all(v in s for (u, v) in order if u in s):
-            out.append(s)
-    return out
 
 
 def x2_axiom_check(x: StructSpace) -> X2Report:
@@ -421,7 +453,10 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
 
     axiom_c = True
     if axiom_b:
-        ups = _upsets(order, x.size)
+        # the upsets are the monotone maps into the two-element chain
+        le = leq_rel(1).pairs
+        ups = [frozenset(p for p in range(x.size) if m[p]) for m in
+               _relational_maps(x.size, 2, [(u, v, le) for (u, v) in order])]
         downs = [frozenset(range(x.size)) - u for u in ups]
         for (p, q) in sorted(order):
             if (p, q) in sharp:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check of the input boundary."""
 
 
 class InvalidElementError(ValueError):
@@ -43,6 +43,19 @@ class WrongSignatureError(ValueError):
 
 class NonMemberError(ValueError):
     """A structured space fails the separation-based membership test."""
+
+
+class MalformedInputError(ValueError):
+    """Input data does not have the shape of a space or an algebra."""
+
+
+def as_int(value, what: str) -> int:
+    """int(value), or MalformedInputError naming what value should be."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise MalformedInputError(
+            f"{what} must be an integer, got {value!r}") from None
 
 
 class InternalConsistencyError(RuntimeError):

@@ -36,10 +36,6 @@ class BinRel:
     def converse(self) -> "BinRel":
         return BinRel(self.n, frozenset((y, x) for (x, y) in self.pairs))
 
-    def restrict(self, s_pairs) -> "BinRel":
-        s = frozenset(s_pairs)
-        return BinRel(self.n, self.pairs & s)
-
     def sorted_pairs(self) -> list[Pair]:
         return sorted(self.pairs)
 
@@ -56,10 +52,6 @@ def lhd_rel(n: int) -> BinRel:
 def leq_rel(n: int) -> BinRel:
     return BinRel(n, frozenset((x, y) for x in range(n + 1)
                                for y in range(x, n + 1)))
-
-
-def diagonal_rel(n: int, carrier) -> BinRel:
-    return BinRel(n, frozenset((x, x) for x in carrier))
 
 
 def is_square_subalgebra(r: BinRel) -> bool:
@@ -285,9 +277,6 @@ class RelLattice:
     def top(self) -> GoodSeq:
         return self.elements[-1]
 
-    def index_of(self, seq: GoodSeq) -> int:
-        return self.elements.index(seq)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -301,6 +290,8 @@ class RelLattice:
 @lru_cache(maxsize=None)
 def compute_Sn(n: int) -> RelLattice:
     """Steps 1-3: generate candidates, keep the good ones, order them."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     good = [s for s in candidate_sequences(n) if is_good_sequence(s, "corner")]
 
     def leq(i: int, j: int) -> bool:

@@ -7,7 +7,9 @@ from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
                       hom_enumerate, pmv_membership, power, product,
                       trivial_algebra)
 from .chain import Chain
+from .duality import _isomorphic, _relational_maps
 from .errors import InternalConsistencyError, NonMemberError
+from .relations import leq_rel
 
 Pair = tuple[int, int]
 
@@ -37,26 +39,7 @@ class Poset:
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
-    if p.size != q.size:
-        return False
-
-    def search(mapping: dict) -> bool:
-        if len(mapping) == p.size:
-            return True
-        u = len(mapping)
-        for v in range(q.size):
-            if v in mapping.values():
-                continue
-            if all((p.le(u, w) == q.le(v, mapping[w]))
-                   and (p.le(w, u) == q.le(mapping[w], v))
-                   for w in mapping):
-                mapping[u] = v
-                if search(mapping):
-                    return True
-                del mapping[u]
-        return False
-
-    return search({})
+    return p.size == q.size and _isomorphic(p.size, [(p.leq, q.leq)])
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -109,24 +92,9 @@ def priestley_dual(lat: FinAlgebra) -> Poset:
 
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:
     """Order-preserving maps from the poset into the (n+1)-chain."""
-    if p.size == 0:
-        return [()]
-    results: list[tuple[int, ...]] = []
-    values = [0] * p.size
-
-    def search(i: int) -> None:
-        if i == p.size:
-            results.append(tuple(values))
-            return
-        for v in range(n + 1):
-            if all((values[j] <= v if p.le(j, i) else True)
-                   and (v <= values[j] if p.le(i, j) else True)
-                   for j in range(i)):
-                values[i] = v
-                search(i + 1)
-
-    search(0)
-    return results
+    le = leq_rel(n).pairs
+    return list(_relational_maps(p.size, n + 1,
+                                 [(u, v, le) for (u, v) in p.leq]))
 
 
 def priestley_power(n: int, lat: FinAlgebra) -> FinAlgebra:

@@ -140,6 +140,38 @@ def test_missing_file_is_an_input_error(capsys):
     assert code == 2
 
 
+SPACE_N2 = StructSpace(2, 1, {(2,): frozenset(),
+                             (1,): frozenset({(0, 0)})}).to_json()
+ALGEBRA_PL2 = chain_algebra(2).to_json()
+
+
+@pytest.mark.parametrize("verb, n, flag, payload", [
+    ("membership", "2", "--space", {**SPACE_N2, "relations": []}),
+    ("membership", "2", "--space", {**SPACE_N2, "relations": 5}),
+    ("membership", "2", "--space",
+     {**SPACE_N2, "relations": {"[1]": [[0]], "[1/2]": []}}),
+    ("membership", "2", "--space", [SPACE_N2]),
+    ("verify-duality", "2", "--algebra", {**ALGEBRA_PL2, "meet": 5}),
+    ("verify-duality", "2", "--algebra", [ALGEBRA_PL2]),
+    ("export", "3", "--space", SPACE_N2),
+    ("classify-ac-ec", "2", "--algebra", chain_algebra(3).to_json()),
+    ("sn", "0", None, None),
+], ids=["relations-list", "relations-number", "one-element-pair",
+        "space-array", "meet-number", "algebra-array", "export-wrong-n",
+        "classify-non-member", "sn-0"])
+def test_bad_input_is_an_input_error(tmp_path, capsys, verb, n, flag,
+                                     payload):
+    argv = [verb, n]
+    if flag:
+        argv += [flag, write_json(tmp_path, "in.json", payload)]
+    code, text = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if verb == "sn":
+        assert "n must be >= 1" in err
+
+
 def test_json_roundtrip_through_the_cli(tmp_path):
     a = power(chain_algebra(2), 2)
     path = write_json(tmp_path, "a.json", a.to_json())

@@ -84,6 +84,14 @@ def test_ac_at_n1_is_complementedness():
     assert not is_algebraically_closed(chain_lattice(3), 1).verdict
 
 
+def test_ac_and_ec_reject_non_members():
+    # PL_3 is not in the quasi-variety of PL_2: its one hom into PL_2 is
+    # missing, so the dual points separate nothing
+    for check in (is_algebraically_closed, is_existentially_closed):
+        with pytest.raises(NonMemberError):
+            check(chain_algebra(3), 2)
+
+
 def test_ec_verdicts():
     rep = is_existentially_closed(chain_algebra(2), 2)
     assert not rep.verdict and rep.reason == "isolated point"

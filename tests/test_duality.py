@@ -1,4 +1,7 @@
+from itertools import permutations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmvdual.algebra import chain_algebra, power, subalgebra_generated
 from pmvdual.duality import (StructMorphism, StructSpace, alter_ego,
@@ -156,3 +159,47 @@ def test_disjoint_union_and_space_isomorphism():
 def test_dot_export():
     dot = struct_space_to_dot(alter_ego(2))
     assert "digraph" in dot and "style=dashed" in dot
+
+
+# -- the relational kernel against brute force ----------------------------------
+
+@st.composite
+def spaces(draw, n, size=None):
+    size = draw(st.integers(0, 4)) if size is None else size
+    point = st.integers(0, max(size - 1, 0))
+    pairs = st.frozensets(st.tuples(point, point)) if size else \
+        st.just(frozenset())
+    return StructSpace(n, size, {key: draw(pairs) for key in relation_keys(n)})
+
+
+def relabel(x, perm):
+    return StructSpace(x.n, x.size, {
+        key: frozenset((perm[u], perm[v]) for (u, v) in pairs)
+        for key, pairs in x.relations.items()})
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_morphism_search_matches_brute_force(data):
+    n = data.draw(st.integers(1, 4))
+    x, y = data.draw(spaces(n)), data.draw(spaces(n))
+    for target in (y, alter_ego(n)):
+        brute = [m for m in product(range(target.size), repeat=x.size)
+                 if all((m[u], m[v]) in target.relations[key]
+                        for key, pairs in x.relations.items()
+                        for (u, v) in pairs)]
+        assert struct_morphism_maps(x, target) == brute
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_space_isomorphism_matches_a_permutation_scan(data):
+    n = data.draw(st.integers(1, 4))
+    x = data.draw(spaces(n))
+    perm = data.draw(st.permutations(range(x.size)))
+    assert spaces_isomorphic(x, relabel(x, perm))
+    y = data.draw(spaces(n, size=data.draw(st.sampled_from(
+        [x.size, data.draw(st.integers(0, 4))]))))
+    scan = x.size == y.size and any(relabel(x, p) == y
+                                    for p in permutations(range(x.size)))
+    assert spaces_isomorphic(x, y) == scan

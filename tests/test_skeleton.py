@@ -1,4 +1,7 @@
+from itertools import permutations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmvdual.algebra import (chain_algebra, hom_enumerate, is_isomorphic,
                              power, subalgebra_generated, trivial_algebra)
@@ -139,3 +142,46 @@ def test_dual_poset_equals_priestley_dual_of_skeleton():
         x = dual_space(a, n)
         q = Poset(x.size, frozenset(x.order_pairs))
         assert poset_isomorphic(p, q)
+
+
+# -- the relational kernel against brute force ----------------------------------
+
+@st.composite
+def posets(draw, size=None):
+    """Transitive closure of random edges that rise in a hidden order."""
+    size = draw(st.integers(0, 4)) if size is None else size
+    rank = draw(st.permutations(range(size)))
+    point = st.integers(0, max(size - 1, 0))
+    edges = draw(st.frozensets(st.tuples(point, point))) if size else ()
+    leq = {(u, u) for u in range(size)} | \
+        {(u, v) for (u, v) in edges if rank[u] < rank[v]}
+    while True:
+        more = {(u, w) for (u, v) in leq for (v2, w) in leq if v == v2} - leq
+        if not more:
+            return Poset(size, frozenset(leq))
+        leq |= more
+
+
+def relabel(p, perm):
+    return Poset(p.size, frozenset((perm[u], perm[v]) for (u, v) in p.leq))
+
+
+@settings(deadline=None)
+@given(posets(), st.integers(1, 3))
+def test_monotone_maps_match_brute_force(p, n):
+    brute = [m for m in product(range(n + 1), repeat=p.size)
+             if all(m[u] <= m[v] for (u, v) in p.leq)]
+    assert monotone_maps(p, n) == brute
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_poset_isomorphism_matches_a_permutation_scan(data):
+    p = data.draw(posets())
+    perm = data.draw(st.permutations(range(p.size)))
+    assert poset_isomorphic(p, relabel(p, perm))
+    q = data.draw(posets(size=data.draw(st.sampled_from(
+        [p.size, data.draw(st.integers(0, 4))]))))
+    scan = p.size == q.size and any(relabel(p, s) == q
+                                    for s in permutations(range(p.size)))
+    assert poset_isomorphic(p, q) == scan
