@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chain import OP_NAMES, Chain
-from .errors import (AxiomViolationError, BudgetExceededError,
+from .errors import (AxiomViolationError, InternalConsistencyError,
                      MalformedInputError, SizeLimitError, as_int)
+from .search import Constraint, constraint_maps, injective_map
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -179,6 +180,32 @@ def chain_algebra(n: int) -> FinAlgebra:
                       tab("odot"), 0, n, label=f"PL{n}")
 
 
+def pointwise_algebra(n: int, elems: list[tuple[int, ...]],
+                      label: str) -> FinAlgebra:
+    """The elements, tuples of numerators closed under the chain's
+    operations, as an algebra with the pointwise operations."""
+    index = {e: i for i, e in enumerate(elems)}
+    c = Chain(n)
+
+    def tab(name):
+        rows = []
+        for e1 in elems:
+            row = []
+            for e2 in elems:
+                val = tuple(c.op(name, v1, v2) for v1, v2 in zip(e1, e2))
+                if val not in index:
+                    raise InternalConsistencyError(
+                        f"pointwise {name} left the morphism set")
+                row.append(index[val])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    points = len(elems[0])
+    return FinAlgebra(len(elems), tab("meet"), tab("join"), tab("oplus"),
+                      tab("odot"), index[(0,) * points], index[(n,) * points],
+                      label)
+
+
 def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """Componentwise algebra on the cartesian product; index = i*|B| + j."""
     size = a.size * b.size
@@ -306,76 +333,29 @@ class Hom:
         return {"map": list(self.map)}
 
 
-def generating_set(a: FinAlgebra) -> tuple[int, ...]:
-    """Greedy generating set (constants are implicit)."""
-    gens: list[int] = []
-    carrier = set(generated_carrier(a, ()))
-    for x in range(a.size):
-        if x not in carrier:
-            gens.append(x)
-            carrier = set(generated_carrier(a, gens))
-            if len(carrier) == a.size:
-                break
-    return tuple(gens)
-
-
-def _propagate(a: FinAlgebra, b: FinAlgebra, assignment: dict) -> dict | None:
-    """Close a partial map under the operations; None on conflict."""
-    assignment = dict(assignment)
-    frontier = list(assignment)
-    while frontier:
-        x = frontier.pop()
-        fx = assignment[x]
-        for name in OP_NAMES:
-            ta, tb = a.table(name), b.table(name)
-            for y in list(assignment):
-                fy = assignment[y]
-                for (z, w) in ((ta[x][y], tb[fx][fy]), (ta[y][x], tb[fy][fx])):
-                    prev = assignment.get(z)
-                    if prev is None:
-                        assignment[z] = w
-                        frontier.append(z)
-                    elif prev != w:
-                        return None
-    return assignment
-
-
 def hom_enumerate(a: FinAlgebra, b: FinAlgebra,
                   budget: int = DEFAULT_HOM_BUDGET) -> list[Hom]:
     """All homomorphisms a -> b, lexicographically ordered on map arrays.
 
-    Backtracks over images of a generating set, propagating the partial
-    map through the operation tables after every choice.
+    budget bounds the nodes of the constraint kernel.
     """
-    gens = generating_set(a)
-    if a.zero == a.one and b.zero != b.one:
-        return []
-    base = _propagate(a, b, {a.zero: b.zero, a.one: b.one})
-    results: list[tuple[int, ...]] = []
-    nodes = 0
+    return [Hom(a, b, m) for m in
+            constraint_maps(a.size, b.size, _hom_constraints(a, b), budget)]
 
-    def search(assignment: dict, depth: int) -> None:
-        nonlocal nodes
-        if depth == len(gens):
-            if len(assignment) == a.size:
-                results.append(tuple(assignment[x] for x in range(a.size)))
-            return
-        g = gens[depth]
-        if g in assignment:
-            search(assignment, depth + 1)
-            return
-        for image in range(b.size):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(budget)
-            extended = _propagate(a, b, {**assignment, g: image})
-            if extended is not None:
-                search(extended, depth + 1)
 
-    if base is not None:
-        search(base, 0)
-    results.sort()
-    return [Hom(a, b, m) for m in results]
+def _hom_constraints(a: FinAlgebra, b: FinAlgebra) -> list[Constraint]:
+    """The constants, and for each operation and each x <= y the triple
+    (x, y, t[x][y]) into the operation's graph in b; all four operations
+    are commutative, so these fix the whole graph."""
+    constraints = [((a.zero,), frozenset({(b.zero,)})),
+                   ((a.one,), frozenset({(b.one,)}))]
+    for name in OP_NAMES:
+        ta, tb = a.table(name), b.table(name)
+        graph = frozenset((x, y, z) for x, row in enumerate(tb)
+                          for y, z in enumerate(row))
+        constraints += [((x, y, ta[x][y]), graph)
+                        for x in range(a.size) for y in range(x, a.size)]
+    return constraints
 
 
 # -- congruences -----------------------------------------------------------
@@ -565,63 +545,12 @@ def pmv_membership(a: FinAlgebra, n: int,
 
 # -- isomorphism search ------------------------------------------------------
 
-def _invariant(a: FinAlgebra, x: int) -> tuple:
-    below = sum(1 for y in range(a.size) if a.leq(y, x))
-    above = sum(1 for y in range(a.size) if a.leq(x, y))
-    idem_plus = a.oplus[x][x] == x
-    idem_dot = a.odot[x][x] == x
-    return (below, above, idem_plus, idem_dot)
-
-
 def find_isomorphism(a: FinAlgebra, b: FinAlgebra) -> tuple[int, ...] | None:
-    """Backtracking isomorphism search with invariant pruning."""
+    """An injective hom, which between algebras of one size is an
+    isomorphism."""
     if a.size != b.size:
         return None
-    inv_a = [_invariant(a, x) for x in range(a.size)]
-    inv_b = [_invariant(b, x) for x in range(b.size)]
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-    mapping: dict[int, int] = {a.zero: b.zero, a.one: b.one}
-    if inv_a[a.zero] != inv_b[b.zero] or inv_a[a.one] != inv_b[b.one]:
-        return None
-    used = {b.zero, b.one}
-    if a.zero == a.one:
-        used = {b.zero}
-
-    def consistent(x: int, y: int) -> bool:
-        for name in OP_NAMES:
-            ta, tb = a.table(name), b.table(name)
-            for u, v in mapping.items():
-                for (r, s) in ((ta[x][u], tb[y][v]), (ta[u][x], tb[v][y])):
-                    t = mapping.get(r)
-                    if t is not None and t != s:
-                        return False
-        return True
-
-    order = sorted(range(a.size), key=lambda x: (x in mapping, x))
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        if x in mapping:
-            return search(i + 1)
-        for y in range(b.size):
-            if y in used or inv_b[y] != inv_a[x]:
-                continue
-            if not consistent(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if search(i + 1):
-                return True
-            del mapping[x]
-            used.remove(y)
-        return False
-
-    if search(0):
-        return tuple(mapping[x] for x in range(a.size))
-    return None
+    return injective_map(a.size, _hom_constraints(a, b))
 
 
 def is_isomorphic(a: FinAlgebra, b: FinAlgebra) -> bool:

@@ -6,17 +6,16 @@ Topology plays no role at this scale; every finite space is discrete.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
-                      congruences, hom_enumerate)
-from .chain import Chain
+                      congruences, hom_enumerate, pointwise_algebra)
 from .errors import (InternalConsistencyError, MalformedInputError,
                      NonMemberError, WrongSignatureError, as_int)
 from .relations import (compute_Sn, format_frac, leq_rel, parse_seq_label,
                         sn_relations, top_seq)
+from .search import constraint_maps, isomorphism
 
 Pair = tuple[int, int]
 
@@ -135,79 +134,12 @@ def alter_ego(n: int) -> StructSpace:
     return StructSpace(n, n + 1, rels)
 
 
-def _relational_maps(
-        size: int, target_size: int,
-        edges: Iterable[tuple[int, int, frozenset[Pair]]],
-) -> Iterator[tuple[int, ...]]:
-    """Every map {0..size-1} -> {0..target_size-1} that sends each edge
-    (u, v, allowed) to a pair in allowed, in lexicographic order.
-
-    Homomorphisms as constraint satisfaction: each edge is filed under
-    its larger endpoint p, as one bitmask of the images of p allowed by
-    each image of the other endpoint, so a choice for p checks only the
-    edges that end at p.  The search keeps an explicit stack, so the
-    cost of a map does not grow with the number of points.
-    """
-    if size == 0:
-        yield ()
-        return
-    full = (1 << target_size) - 1
-    own = [full] * size
-    back: list[dict[int, list[int]]] = [{} for _ in range(size)]
-    for u, v, allowed in edges:
-        if u == v:
-            own[u] &= sum(1 << b for b in range(target_size)
-                          if (b, b) in allowed)
-            continue
-        p, q = max(u, v), min(u, v)
-        masks = back[p].setdefault(q, [full] * target_size)
-        for w in range(target_size):
-            masks[w] &= sum(1 << b for b in range(target_size)
-                            if ((w, b) if q == u else (b, w)) in allowed)
-    checks = [list(d.items()) for d in back]
-    decoded: dict[int, tuple[int, ...]] = {}
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        p = len(prefix)
-        mask = own[p]
-        for q, masks in checks[p]:
-            mask &= masks[prefix[q]]
-        images = decoded.get(mask)
-        if images is None:
-            images = decoded[mask] = tuple(
-                b for b in range(target_size) if mask >> b & 1)
-        if p == size - 1:
-            for b in images:
-                yield prefix + (b,)
-        else:
-            stack.extend([prefix + (b,) for b in reversed(images)])
-
-
-def _isomorphic(size: int,
-                relations: list[tuple[frozenset[Pair], frozenset[Pair]]]) -> bool:
-    """Whether an injective map of {0..size-1} to itself sends each pair
-    set of one structure into the matching pair set of the other.
-
-    With equal pair counts such a map is an isomorphism: it maps every
-    relation injectively, hence onto the other one.
-    """
-    if any(len(src) != len(tgt) for src, tgt in relations):
-        return False
-    distinct = frozenset((a, b) for a in range(size) for b in range(size)
-                         if a != b)
-    edges = [(u, v, tgt) for src, tgt in relations for (u, v) in src]
-    edges += [(u, v, distinct) for u in range(size)
-              for v in range(u + 1, size)]
-    return next(_relational_maps(size, size, edges), None) is not None
-
-
 def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
     """All structure-preserving maps x -> y, lexicographically ordered."""
-    return list(_relational_maps(
-        x.size, y.size, [(u, v, y.relations[key])
+    return list(constraint_maps(
+        x.size, y.size, [(pair, y.relations[key])
                          for key, pairs in x.relations.items()
-                         for (u, v) in pairs]))
+                         for pair in pairs]))
 
 
 def struct_morphisms(x: StructSpace, y: StructSpace) -> list[StructMorphism]:
@@ -215,8 +147,9 @@ def struct_morphisms(x: StructSpace, y: StructSpace) -> list[StructMorphism]:
 
 
 def spaces_isomorphic(x: StructSpace, y: StructSpace) -> bool:
-    return x.n == y.n and x.size == y.size and _isomorphic(
-        x.size, [(x.relations[key], y.relations[key]) for key in x.relations])
+    return x.n == y.n and x.size == y.size and isomorphism(
+        x.size, [(x.relations[key], y.relations[key])
+                 for key in x.relations]) is not None
 
 
 # -- the two hom-functors -----------------------------------------------------
@@ -251,31 +184,11 @@ def dual_algebra_elements(x: StructSpace) -> list[tuple[int, ...]]:
 
 def dual_algebra(x: StructSpace) -> FinAlgebra:
     """Pointwise algebra on the morphisms into the dualizing structure."""
-    return _algebra_of_elements(x, dual_algebra_elements(x))
+    return _dual_algebra(x, dual_algebra_elements(x))
 
 
-def _algebra_of_elements(x: StructSpace,
-                         elems: list[tuple[int, ...]]) -> FinAlgebra:
-    index = {e: i for i, e in enumerate(elems)}
-    c = Chain(x.n)
-
-    def tab(name):
-        rows = []
-        for e1 in elems:
-            row = []
-            for e2 in elems:
-                val = tuple(c.op(name, v1, v2) for v1, v2 in zip(e1, e2))
-                if val not in index:
-                    raise InternalConsistencyError(
-                        f"pointwise {name} left the morphism set")
-                row.append(index[val])
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    zero = index[tuple([0] * x.size)]
-    one = index[tuple([x.n] * x.size)]
-    return FinAlgebra(len(elems), tab("meet"), tab("join"), tab("oplus"),
-                      tab("odot"), zero, one, label=f"E(X) n={x.n}")
+def _dual_algebra(x: StructSpace, elems: list[tuple[int, ...]]) -> FinAlgebra:
+    return pointwise_algebra(x.n, elems, f"E(X) n={x.n}")
 
 
 @dataclass(frozen=True)
@@ -295,7 +208,7 @@ def evaluation_e(a: FinAlgebra, n: int,
     homs = dual_points(a, n, budget=budget)
     x = _space_of_points(a, homs, n)
     elems = dual_algebra_elements(x)
-    ealg = _algebra_of_elements(x, elems)
+    ealg = _dual_algebra(x, elems)
     index = {e: i for i, e in enumerate(elems)}
     images = []
     for t in range(a.size):
@@ -330,7 +243,7 @@ def evaluation_eps(x: StructSpace, n: int,
     member = _separation(x, elems)
     if not member.member:
         raise NonMemberError(f"space fails membership: {member.witness}")
-    ealg = _algebra_of_elements(x, elems)
+    ealg = _dual_algebra(x, elems)
     ypoints = dual_points(ealg, n, budget=budget)
     y = _space_of_points(ealg, ypoints, n)
     index = {p.map: i for i, p in enumerate(ypoints)}
@@ -456,7 +369,7 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
         # the upsets are the monotone maps into the two-element chain
         le = leq_rel(1).pairs
         ups = [frozenset(p for p in range(x.size) if m[p]) for m in
-               _relational_maps(x.size, 2, [(u, v, le) for (u, v) in order])]
+               constraint_maps(x.size, 2, [(pair, le) for pair in order])]
         downs = [frozenset(range(x.size)) - u for u in ups]
         for (p, q) in sorted(order):
             if (p, q) in sharp:

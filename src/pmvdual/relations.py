@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .chain import OP_NAMES, Chain, Subalgebra, chain_subalgebras
 from .errors import (MalformedSequenceError, NotASubalgebraError,
@@ -16,7 +15,6 @@ from .errors import (MalformedSequenceError, NotASubalgebraError,
 
 Pair = tuple[int, int]
 
-ORACLE_SUBSET_SCAN_MAX = 4
 ORACLE_MAX_N = 6
 
 
@@ -337,18 +335,12 @@ def _close_pairs(n: int, seed: frozenset[Pair]) -> frozenset[Pair]:
     return frozenset(pairs)
 
 
-def _oracle_subset_scan(n: int) -> list[frozenset[Pair]]:
-    base = sorted(leq_rel(n).pairs - {(0, 0), (n, n)})
-    found = []
-    for r in range(len(base) + 1):
-        for extra in combinations(base, r):
-            cand = frozenset(extra) | {(0, 0), (n, n)}
-            if is_square_subalgebra(BinRel(n, cand)):
-                found.append(cand)
-    return found
-
-
-def _oracle_generate_and_close(n: int) -> list[frozenset[Pair]]:
+def square_subalgebras_oracle(n: int) -> list[BinRel]:
+    """All subalgebras of the chain square contained in the order: the
+    closure of the constants, then the closure of every extension of a
+    found one by one more pair of the order."""
+    if n > ORACLE_MAX_N:
+        raise SizeLimitError(f"oracle supports n <= {ORACLE_MAX_N}, got {n}")
     leq_pairs = leq_rel(n).pairs
     bottom = _close_pairs(n, frozenset())
     seen = {bottom}
@@ -360,18 +352,7 @@ def _oracle_generate_and_close(n: int) -> list[frozenset[Pair]]:
             if bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def square_subalgebras_oracle(n: int) -> list[BinRel]:
-    """All subalgebras of the chain square contained in the order."""
-    if n > ORACLE_MAX_N:
-        raise SizeLimitError(f"oracle supports n <= {ORACLE_MAX_N}, got {n}")
-    if n <= ORACLE_SUBSET_SCAN_MAX:
-        raw = _oracle_subset_scan(n)
-    else:
-        raw = _oracle_generate_and_close(n)
-    rels = [BinRel(n, pairs) for pairs in raw]
+    rels = [BinRel(n, pairs) for pairs in seen]
     rels.sort(key=lambda r: (len(r.pairs), r.sorted_pairs()))
     return rels
 

@@ -1,0 +1,152 @@
+"""One constraint kernel for every search over finite structures.
+
+A search lists the maps {0..size-1} -> {0..target_size-1} that send
+each constraint (points, allowed) into allowed: points is a tuple of one
+to three points and allowed a set of image tuples of the same length.
+Algebra homomorphisms (constants as unary relations, operations as
+their ternary graphs), morphisms of structured spaces and monotone maps
+of posets are all such searches: homomorphisms as constraint
+satisfaction (Feder & Vardi, SIAM J. Comput. 1998).
+"""
+from __future__ import annotations
+
+import sys
+from collections.abc import Iterable, Iterator
+from functools import lru_cache
+from itertools import product
+from operator import itemgetter
+
+from .errors import BudgetExceededError
+
+Points = tuple[int, ...]
+Constraint = tuple[Points, frozenset[Points]]
+
+
+@lru_cache(maxsize=128)
+def _table(shape: Points, allowed: frozenset[Points], t: int
+           ) -> tuple[int, ...]:
+    """For a constraint whose position i holds its shape[i]-th smallest
+    point, the bitmask of the allowed images of the largest point,
+    indexed by the images of the others in base t.  Cached, since most
+    searches use the same few allowed sets: the relations of an alter
+    ego, the operation graphs of a chain."""
+    k = max(shape)
+    if k == 0:
+        return (sum(1 << v for v in range(t) if (v,) * len(shape) in allowed),)
+    if k + 1 == len(shape):     # distinct points: read off the allowed tuples
+        found = map(itemgetter(*map(shape.index, range(k + 1))), allowed)
+    else:                       # a repeated point: test each candidate
+        spread = itemgetter(*shape)
+        found = (d for d in product(range(t), repeat=k + 1)
+                 if spread(d) in allowed)
+    table = [0] * t ** k
+    if k == 1:
+        for q, p in found:
+            table[q] |= 1 << p
+    else:
+        for q, r, p in found:
+            table[q * t + r] |= 1 << p
+    return tuple(table)
+
+
+def constraint_maps(size: int, target_size: int,
+                    constraints: Iterable[Constraint],
+                    budget: int | None = None) -> Iterator[Points]:
+    """Every map {0..size-1} -> {0..target_size-1} that sends each
+    constraint's points into its allowed set, in lexicographic order.
+
+    Each constraint is filed under its largest point p as one table of
+    bitmasks of the images of p, indexed by the images of its other
+    points; a table is built once per shape and allowed set, and the
+    tables of constraints on the same points are merged.  A choice for
+    p then checks only the constraints that end at p.  The
+    search keeps an explicit stack, so the cost of a map does not grow
+    with the number of points.  Every partial map put on the stack is
+    one node; past budget nodes the search raises BudgetExceededError.
+    """
+    if size == 0:
+        yield ()
+        return
+    t = target_size
+    own = [(1 << t) - 1] * size
+    # the tables of this search: an allowed set met again is the same
+    # object, which the shared cache would compare element by element
+    tables: dict[tuple[Points, frozenset[Points]], tuple[int, ...]] = {}
+    merged: dict[Points, tuple[int, ...]] = {}
+    # the meet of two tables by their identities, kept with the two
+    # tables so that neither identity can be reused during the search
+    meets: dict[tuple[int, int], tuple] = {}
+    for points, allowed in constraints:
+        ranks = tuple(sorted(set(points)))
+        shape = tuple(map(ranks.index, points))
+        table = tables.get((shape, allowed))
+        if table is None:
+            table = tables[(shape, allowed)] = _table(shape, allowed, t)
+        if len(ranks) == 1:
+            own[ranks[0]] &= table[0]
+            continue
+        prev = merged.get(ranks)
+        if prev is not None:
+            key = (id(prev), id(table))
+            if key not in meets:
+                meets[key] = (prev, table, tuple(
+                    [m1 & m2 for m1, m2 in zip(prev, table)]))
+            table = meets[key][2]
+        merged[ranks] = table
+    pairs: list[list[tuple]] = [[] for _ in range(size)]
+    triples: list[list[tuple]] = [[] for _ in range(size)]
+    for ranks, table in merged.items():
+        if len(ranks) == 2:
+            pairs[ranks[1]].append((ranks[0], table))
+        else:
+            triples[ranks[2]].append((ranks[0], ranks[1], table))
+    limit = budget if budget is not None else sys.maxsize
+    nodes = 0
+    decoded: dict[int, Points] = {}
+    stack: list[Points] = [()]
+    while stack:
+        prefix = stack.pop()
+        p = len(prefix)
+        mask = own[p]
+        for q, table in pairs[p]:
+            mask &= table[prefix[q]]
+        for q, r, table in triples[p]:
+            mask &= table[prefix[q] * t + prefix[r]]
+        images = decoded.get(mask)
+        if images is None:
+            images = decoded[mask] = tuple(
+                b for b in range(t) if mask >> b & 1)
+        if p == size - 1:
+            for b in images:
+                yield prefix + (b,)
+        else:
+            nodes += len(images)
+            if nodes > limit:
+                raise BudgetExceededError(budget)
+            stack.extend([prefix + (b,) for b in reversed(images)])
+
+
+def injective_map(size: int, constraints: list[Constraint]) -> Points | None:
+    """The first injective map of {0..size-1} to itself that sends each
+    constraint's points into its allowed set, or None."""
+    distinct = frozenset((a, b) for a in range(size) for b in range(size)
+                         if a != b)
+    constraints = constraints + [((u, v), distinct) for u in range(size)
+                                 for v in range(u + 1, size)]
+    return next(constraint_maps(size, size, constraints), None)
+
+
+def isomorphism(size: int, relations: list[tuple[frozenset[Points],
+                                                   frozenset[Points]]]
+                ) -> Points | None:
+    """An injective map of {0..size-1} to itself that sends each tuple
+    set of one structure into the matching tuple set of the other, or
+    None.
+
+    With equal tuple counts such a map is an isomorphism: it maps every
+    relation injectively, hence onto the other one.
+    """
+    if any(len(src) != len(tgt) for src, tgt in relations):
+        return None
+    return injective_map(size, [(points, tgt) for src, tgt in relations
+                                for points in src])

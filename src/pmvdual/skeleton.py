@@ -4,12 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
-                      hom_enumerate, pmv_membership, power, product,
-                      trivial_algebra)
-from .chain import Chain
-from .duality import _isomorphic, _relational_maps
+                      hom_enumerate, pmv_membership, pointwise_algebra, power,
+                      product, trivial_algebra)
 from .errors import InternalConsistencyError, NonMemberError
 from .relations import leq_rel
+from .search import constraint_maps, isomorphism
 
 Pair = tuple[int, int]
 
@@ -39,7 +38,8 @@ class Poset:
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
-    return p.size == q.size and _isomorphic(p.size, [(p.leq, q.leq)])
+    return p.size == q.size and isomorphism(
+        p.size, [(p.leq, q.leq)]) is not None
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -81,43 +81,38 @@ def skeleton_functor_on_homs(h: Hom) -> Hom:
 
 def priestley_dual(lat: FinAlgebra) -> Poset:
     """Lattice homs into the two-element chain, ordered pointwise."""
+    return _priestley_dual(lat)[1]
+
+
+def _priestley_dual(lat: FinAlgebra) -> tuple[list[Hom], Poset]:
     if not is_dist_lattice_algebra(lat):
         raise ValueError("priestley_dual expects an idempotent algebra")
     homs = hom_enumerate(lat, chain_algebra(1))
     size = len(homs)
     leq = frozenset((i, j) for i in range(size) for j in range(size)
                     if all(homs[i](x) <= homs[j](x) for x in range(lat.size)))
-    return Poset(size, leq)
+    return homs, Poset(size, leq)
 
 
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:
     """Order-preserving maps from the poset into the (n+1)-chain."""
     le = leq_rel(n).pairs
-    return list(_relational_maps(p.size, n + 1,
-                                 [(u, v, le) for (u, v) in p.leq]))
+    return list(constraint_maps(p.size, n + 1, [(pair, le) for pair in p.leq]))
 
 
 def priestley_power(n: int, lat: FinAlgebra) -> FinAlgebra:
     """Monotone maps from the dual poset into the chain, pointwise ops."""
-    p = priestley_dual(lat)
+    return _priestley_power(n, lat)[2]
+
+
+def _priestley_power(n: int, lat: FinAlgebra
+                     ) -> tuple[list[Hom], list[tuple[int, ...]], FinAlgebra]:
+    """The points of the dual poset, its monotone maps into the chain,
+    and the Priestley power they make."""
+    homs, p = _priestley_dual(lat)
     elems = monotone_maps(p, n)
-    index = {e: i for i, e in enumerate(elems)}
-    c = Chain(n)
-
-    def tab(name):
-        rows = []
-        for e1 in elems:
-            row = []
-            for e2 in elems:
-                val = tuple(c.op(name, v1, v2) for v1, v2 in zip(e1, e2))
-                row.append(index[val])
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    zero = index[tuple([0] * p.size)]
-    one = index[tuple([n] * p.size)]
-    return FinAlgebra(len(elems), tab("meet"), tab("join"), tab("oplus"),
-                      tab("odot"), zero, one, label=f"PL{n}[{lat.label or 'L'}]")
+    return homs, elems, pointwise_algebra(n, elems,
+                                          f"PL{n}[{lat.label or 'L'}]")
 
 
 def boolean_lattice(k: int) -> FinAlgebra:
@@ -168,10 +163,7 @@ def skeleton_unit(a: FinAlgebra, n: int) -> Hom:
     lat, carrier = skeleton(a)
     carrier_index = {x: i for i, x in enumerate(carrier)}
     taus = tau_table(a, n)
-    pw = priestley_power(n, lat)
-    p_homs = hom_enumerate(lat, chain_algebra(1))
-    pd = priestley_dual(lat)
-    elems = monotone_maps(pd, n)
+    p_homs, elems, pw = _priestley_power(n, lat)
     elem_index = {e: i for i, e in enumerate(elems)}
     images = []
     for t in range(a.size):
@@ -213,10 +205,7 @@ def adjunction_check(a: FinAlgebra, lat: FinAlgebra, n: int,
     """
     if not is_dist_lattice_algebra(lat):
         raise ValueError("adjunction_check expects an idempotent second factor")
-    pw = priestley_power(n, lat)
-    pd = priestley_dual(lat)
-    elems = monotone_maps(pd, n)
-    l_points = hom_enumerate(lat, chain_algebra(1))
+    l_points, elems, pw = _priestley_power(n, lat)
     upper = hom_enumerate(a, pw, budget=budget)
     skel_a, carrier = skeleton(a)
     lower = hom_enumerate(skel_a, lat, budget=budget)

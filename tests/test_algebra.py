@@ -1,4 +1,8 @@
+from functools import lru_cache
+from itertools import permutations, product as iproduct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmvdual.algebra import (FinAlgebra, Hom, all_subalgebra_carriers,
                              chain_algebra, congruences,
@@ -7,6 +11,7 @@ from pmvdual.algebra import (FinAlgebra, Hom, all_subalgebra_carriers,
                              generated_carrier, hom_enumerate, is_isomorphic,
                              is_simple, pmv_membership, power, product,
                              restrict, subalgebra_generated, trivial_algebra)
+from pmvdual.chain import OP_NAMES
 from pmvdual.errors import AxiomViolationError, BudgetExceededError
 
 
@@ -154,3 +159,78 @@ def test_json_roundtrip():
 def test_hom_validation():
     with pytest.raises(AxiomViolationError):
         Hom(chain_algebra(2), chain_algebra(2), (0, 0, 2))
+
+
+# -- the constraint kernel against brute force ----------------------------------
+
+@lru_cache(maxsize=None)
+def small_subalgebras(max_size):
+    """Every subalgebra of PL_n^k (n <= 3, k <= 2, and PL_1^3) with at
+    most max_size elements."""
+    out = []
+    for n, k in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3)):
+        big = power(chain_algebra(n), k)
+        out += [restrict(big, c) for c in all_subalgebra_carriers(big)
+                if len(c) <= max_size]
+    return out
+
+
+def relabel(a, perm):
+    """The algebra with each element x renamed perm[x]."""
+    inv = sorted(range(a.size), key=perm.__getitem__)
+
+    def tab(t):
+        return tuple(tuple(perm[t[inv[x]][inv[y]]] for y in range(a.size))
+                     for x in range(a.size))
+
+    return FinAlgebra(a.size, tab(a.meet), tab(a.join), tab(a.oplus),
+                      tab(a.odot), perm[a.zero], perm[a.one])
+
+
+@st.composite
+def algebras(draw, max_size=9):
+    """A small subalgebra of a power of a chain, relabelled by a random
+    permutation."""
+    a = draw(st.sampled_from(small_subalgebras(max_size)))
+    return relabel(a, draw(st.permutations(range(a.size))))
+
+
+def preserves(a, b, m):
+    return m[a.zero] == b.zero and m[a.one] == b.one and all(
+        m[a.table(name)[x][y]] == b.table(name)[m[x]][m[y]]
+        for name in OP_NAMES for x in range(a.size) for y in range(a.size))
+
+
+def brute_homs(a, b):
+    return [m for m in iproduct(range(b.size), repeat=a.size)
+            if preserves(a, b, m)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(algebras(), st.data())
+def test_hom_enumerate_matches_brute_force(a, data):
+    chain = chain_algebra(data.draw(st.integers(1, 3)))
+    assert [h.map for h in hom_enumerate(a, chain)] == brute_homs(a, chain)
+    # a second algebra small enough to list its maps from a
+    b = data.draw(algebras(max_size=int(20_000 ** (1 / a.size))))
+    assert [h.map for h in hom_enumerate(a, b)] == brute_homs(a, b)
+
+
+@settings(deadline=None, max_examples=40)
+@given(algebras(), st.data())
+def test_isomorphism_found_on_relabellings(a, data):
+    b = relabel(a, data.draw(st.permutations(range(a.size))))
+    m = find_isomorphism(a, b)
+    assert m is not None and sorted(m) == list(range(a.size))
+    Hom(a, b, m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(algebras(max_size=6), st.data())
+def test_isomorphism_matches_a_permutation_scan(a, data):
+    b = data.draw(st.sampled_from([
+        relabel(a, data.draw(st.permutations(range(a.size)))),
+        data.draw(algebras(max_size=6))]))
+    scan = a.size == b.size and any(preserves(a, b, perm)
+                                    for perm in permutations(range(a.size)))
+    assert is_isomorphic(a, b) == scan
