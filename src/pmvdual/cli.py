@@ -1,7 +1,7 @@
 """Batch command-line surface with JSON input/output and DOT export.
 
-Exit codes: 0 success / verdict true, 1 verdict false, 2 input error,
-3 search budget exceeded.
+Exit codes: 0 success / verdict true, 1 verdict false, 2 input error or
+internal consistency error, 3 search budget exceeded.
 """
 from __future__ import annotations
 
@@ -14,11 +14,12 @@ from .closure import is_algebraically_closed, is_existentially_closed
 from .duality import (StructSpace, _expect_n, evaluation_e,
                       struct_space_to_dot, x2_axiom_check, xn_membership)
 from .errors import (AxiomViolationError, BudgetExceededError,
-                     MalformedSequenceError, NotASubalgebraError,
-                     SizeLimitError, WrongSignatureError)
-from .relations import (adjudicate_n4_discrepancy, compute_Sn,
-                        good_sequence_witness, lhd_rel, meet_irreducibles,
-                        rel_lattice_to_dot, rel_to_seq,
+                     InternalConsistencyError, MalformedSequenceError,
+                     NotASubalgebraError, SizeLimitError,
+                     WrongSignatureError)
+from .relations import (adjudicate_n4_discrepancy, candidate_sequences,
+                        compute_Sn, is_good_sequence, lhd_rel,
+                        meet_irreducibles, rel_lattice_to_dot, rel_to_seq,
                         square_subalgebras_oracle)
 from .skeleton import priestley_power, skeleton
 
@@ -125,10 +126,11 @@ def cmd_classify_ac_ec(args, out) -> int:
 
 def cmd_oracle_diff(args, out) -> int:
     n = args.n
-    lat = compute_Sn(n)
-    corner = {s.y for s in lat.elements}
-    full = {s.y for s in lat.elements if good_sequence_witness(s, "full") is None}
+    algorithm = {s.y for s in compute_Sn(n).elements}
     oracle_rels = square_subalgebras_oracle(n)
+    candidates = candidate_sequences(n)
+    corner = {s.y for s in candidates if is_good_sequence(s, "corner")}
+    full = {s.y for s in candidates if is_good_sequence(s, "full")}
     lhd_pairs = lhd_rel(n).pairs
     between = set()
     for rel in oracle_rels:
@@ -138,12 +140,14 @@ def cmd_oracle_diff(args, out) -> int:
              f"  sequence algorithm (corner mode): {len(corner)}",
              f"  full-condition mode:              {len(full)}",
              f"  brute-force oracle:               {len(between)}"]
-    ok = corner == full == between
+    ok = algorithm == corner == full == between
     if ok:
         lines.append("  agreement: exact")
     else:
-        lines.append(f"  DISCREPANCY: corner-full={sorted(corner ^ full)} "
-                     f"corner-oracle={sorted(corner ^ between)}")
+        lines.append(f"  DISCREPANCY: algorithm-corner="
+                     f"{sorted(algorithm ^ corner)} "
+                     f"algorithm-full={sorted(algorithm ^ full)} "
+                     f"algorithm-oracle={sorted(algorithm ^ between)}")
     out.write("\n".join(lines) + "\n")
     if n == 4:
         out.write(adjudicate_n4_discrepancy() + "\n")
@@ -214,7 +218,7 @@ def main(argv=None, out=None) -> int:
         return EXIT_BUDGET
     except (InputError, AxiomViolationError, MalformedSequenceError,
             NotASubalgebraError, SizeLimitError, WrongSignatureError,
-            ValueError, KeyError) as exc:
+            InternalConsistencyError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,14 +8,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .chain import OP_NAMES, Chain, Subalgebra, chain_subalgebras
 from .errors import (MalformedSequenceError, NotASubalgebraError,
                      SizeLimitError)
+from .search import constraint_maps
 
 Pair = tuple[int, int]
 
 ORACLE_MAX_N = 6
+
+# Node budget of the good-sequence search: n = 14 takes 472 269 nodes
+# and n = 15 takes 1 455 651, so sn 14 completes and sn 15 stops.
+SN_BUDGET = 600_000
 
 
 # -- binary relations on the chain -------------------------------------------
@@ -285,28 +291,92 @@ class RelLattice:
         }
 
 
+def _allowed(n: int, arity: int, test) -> frozenset[tuple[int, ...]]:
+    """The image tuples whose sequence values y = n - image pass test."""
+    return frozenset(d for d in product(range(n), repeat=arity)
+                     if test(*(n - v for v in d)))
+
+
+def _good_sequences(n: int) -> list[tuple[int, ...]]:
+    """Every good sequence, in descending lexicographic order.
+
+    Point i - 1 of the search holds y_i as the image n - y_i, so the
+    search's lexicographic order is the descending order of y.  The
+    constraints state full mode's closure condition literally: for
+    j <= j', (a, b) = (j, y_j) (+) (j', y_j') needs b >= y_a, a ternary
+    constraint, or a binary one when a = n, where y_n = n; the same
+    holds for (.) when j + j' > n (below that a = 0, where y_0 = 0).
+    """
+    oplus = _allowed(n, 3, lambda yj, yk, ya: min(n, yj + yk) >= ya)
+    oplus_top = _allowed(n, 2, lambda yj, yk: min(n, yj + yk) >= n)
+    odot = _allowed(n, 3, lambda ya, yj, yk: max(0, yj + yk - n) >= ya)
+    rising = _allowed(n, 2, lambda yi, yk: yi <= yk)
+    constraints = [((i - 1,), _allowed(n, 1, lambda y, i=i: y >= i))
+                   for i in range(1, n)]
+    constraints += [((i - 1, i), rising) for i in range(1, n - 1)]
+    for j in range(1, n):
+        for k in range(j, n):
+            if j + k < n:
+                constraints.append(((j - 1, k - 1, j + k - 1), oplus))
+            else:
+                constraints.append(((j - 1, k - 1), oplus_top))
+            if j + k > n:
+                constraints.append(((j + k - n - 1, j - 1, k - 1), odot))
+    return [tuple(n - d for d in images) for images in
+            constraint_maps(n - 1, n, constraints, SN_BUDGET)]
+
+
+def _hasse(n: int, ys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The upper covers of each sequence, as ascending index tuples.
+
+    Element i lies below j when y_j <= y_i componentwise, so the up-set
+    of i is the intersection, over the coordinates c, of the bitsets of
+    the elements with y_c <= y_i[c].  The descending order of ys is a
+    linear extension, so the lowest index k left in the strict up-set
+    of i is a cover of i; removing k with its up-set leaves the next.
+    """
+    m = len(ys)
+    # at_most[c][v]: bit e is set when y_c of element e is at most v;
+    # int(..., 2) reads the last element's digit as bit 0
+    digits = [bytes(49 if x <= v else 48 for x in range(256))
+              for v in range(n + 1)]
+    at_most = []
+    for c in range(n - 1):
+        column = bytes(y[c] for y in reversed(ys))
+        at_most.append([int(column.translate(d), 2) for d in digits])
+    everything = (1 << m) - 1
+
+    def up(i: int) -> int:
+        found = everything
+        for c, v in enumerate(ys[i]):
+            found &= at_most[c][v]
+        return found
+
+    covers = []
+    for i in range(m):
+        rest = up(i) ^ (1 << i)
+        cov = []
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            cov.append(k)
+            rest &= ~up(k)
+        covers.append(tuple(cov))
+    return covers
+
+
 @lru_cache(maxsize=None)
 def compute_Sn(n: int) -> RelLattice:
-    """Steps 1-3: generate candidates, keep the good ones, order them."""
+    """The good sequences by one constraint search, ordered by bitsets."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    good = [s for s in candidate_sequences(n) if is_good_sequence(s, "corner")]
-
-    def leq(i: int, j: int) -> bool:
-        return all(b <= a for a, b in zip(good[i].y, good[j].y))
-
-    m = len(good)
-    covers: list[tuple[int, ...]] = []
-    for i in range(m):
-        above = [j for j in range(m) if j != i and leq(i, j)]
-        cov = [j for j in above
-               if not any(leq(k, j) and k != j for k in above)]
-        covers.append(tuple(sorted(cov)))
-    # meet-irreducible: exactly one upper cover; the top stays by convention
+    ys = _good_sequences(n)
+    covers = _hasse(n, ys)
+    # meet-irreducible: exactly one upper cover; the top (the last
+    # element, the order itself) stays by convention
     irr = [len(cov) == 1 for cov in covers]
-    top = max(range(m), key=lambda i: sum(leq(j, i) for j in range(m)))
-    irr[top] = True
-    return RelLattice(n, tuple(good), tuple(covers), tuple(irr))
+    irr[-1] = True
+    return RelLattice(n, tuple(GoodSeq(n, y) for y in ys), tuple(covers),
+                      tuple(irr))
 
 
 def meet_irreducibles(lat: RelLattice) -> list[GoodSeq]:

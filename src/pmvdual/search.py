@@ -6,7 +6,8 @@ to three points and allowed a set of image tuples of the same length.
 Algebra homomorphisms (constants as unary relations, operations as
 their ternary graphs), morphisms of structured spaces and monotone maps
 of posets are all such searches: homomorphisms as constraint
-satisfaction (Feder & Vardi, SIAM J. Comput. 1998).
+satisfaction (Feder & Vardi, SIAM J. Comput. 1998).  So is the list of
+good sequences behind the relation lattice S_n (relations.compute_Sn).
 """
 from __future__ import annotations
 

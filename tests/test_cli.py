@@ -1,11 +1,14 @@
+import dataclasses
 import io
 import json
 
 import pytest
 
+from pmvdual import cli, relations
 from pmvdual.algebra import chain_algebra, power
 from pmvdual.cli import main
 from pmvdual.duality import StructSpace
+from pmvdual.errors import InternalConsistencyError
 from pmvdual.skeleton import priestley_power
 
 from conftest import chain_lattice
@@ -116,6 +119,36 @@ def test_oracle_diff_without_note():
     code, text = run(["oracle-diff", "3"])
     assert code == 0
     assert "agreement: exact" in text and "discrepancy note" not in text
+
+
+def test_oracle_diff_reports_a_missed_sequence(monkeypatch):
+    lat = relations.compute_Sn(4)
+    short = dataclasses.replace(lat, elements=lat.elements[1:])
+    monkeypatch.setattr(cli, "compute_Sn", lambda n: short)
+    code, text = run(["oracle-diff", "4"])
+    assert code == 1
+    assert "algorithm-oracle=[(4, 4, 4)]" in text
+
+
+def test_sn_search_budget(monkeypatch, capsys):
+    monkeypatch.setattr(relations, "SN_BUDGET", 5)
+    relations.compute_Sn.cache_clear()      # S_6 may be cached already
+    code, text = run(["sn", "6"])
+    err = capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert err == "error: search budget exceeded (budget = 5)\n"
+
+
+def test_internal_consistency_error_is_exit_2(tmp_path, monkeypatch, capsys):
+    def fail(algebra, n):
+        raise InternalConsistencyError("evaluation map lost a point")
+
+    monkeypatch.setattr(cli, "evaluation_e", fail)
+    path = write_json(tmp_path, "pl2.json", chain_algebra(2).to_json())
+    code, text = run(["verify-duality", "2", "--algebra", path])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: evaluation map lost a point\n"
 
 
 def test_export(tmp_path):

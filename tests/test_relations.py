@@ -89,8 +89,40 @@ def test_corner_mode_equals_full_mode_up_to_n6():
 
 
 def test_lattice_sizes():
-    assert [len(compute_Sn(n).elements) for n in range(1, 7)] == \
-        [1, 2, 3, 7, 13, 37]
+    lats = [compute_Sn(n) for n in range(1, 13)]
+    assert [len(lat.elements) for lat in lats] == \
+        [1, 2, 3, 7, 13, 37, 83, 242, 614, 1804, 4869, 14900]
+    # meet-irreducible elements, the top included by convention
+    assert [sum(lat.meet_irreducible) for lat in lats] == \
+        [1, 2, 3, 6, 8, 16, 21, 45, 66, 123, 180, 382]
+
+
+def hasse_by_pairs(lat):
+    """Upper covers from pairwise comparisons: j covers i when no k
+    above i lies strictly below j."""
+    m = len(lat.elements)
+    covers = []
+    for i in range(m):
+        above = [j for j in range(m) if j != i and lat.leq(i, j)]
+        cov = [j for j in above
+               if not any(lat.leq(k, j) and k != j for k in above)]
+        covers.append(tuple(sorted(cov)))
+    return tuple(covers)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_compute_Sn_equals_its_oracles(n):
+    lat = compute_Sn(n)
+    assert list(lat.elements) == [s for s in candidate_sequences(n)
+                                  if is_good_sequence(s, "full")]
+    assert lat.covers == hasse_by_pairs(lat)
+    # meet-irreducible: not the intersection of the relations strictly
+    # above it; the top, with nothing above, by convention
+    rels = [seq_to_rel(s).pairs for s in lat.elements]
+    for i, rel in enumerate(rels):
+        above = [rels[j] for j in range(len(rels)) if j != i and lat.leq(i, j)]
+        meet = frozenset.intersection(*above) if above else None
+        assert lat.meet_irreducible[i] == (meet != rel)
 
 
 def test_n4_lattice_matches_the_published_diagram():
