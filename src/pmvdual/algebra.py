@@ -1,13 +1,22 @@
 """Finite algebras in the signature {meet, join, oplus, odot, 0, 1}.
 
 Covers both the bounded-distributive-lattice case (oplus = join,
-odot = meet) and the general chain-valued case.  Tables are validated on
-construction; the first violated axiom is reported with a witness.
+odot = meet) and the general chain-valued case.  An algebra given by its
+tables, through algebra_from_tables, from_json or a direct FinAlgebra(...),
+is validated on construction; the first violated axiom is reported with
+a witness.  Derived algebras (products, powers, subalgebras, pointwise
+algebras) are not validated again: the axioms are identities and one
+quasi-identity, which products and subalgebras preserve, and the builder
+checks that its elements are closed under the operations, so each is a
+subalgebra of a product of validated algebras.  Likewise hom_enumerate
+does not recheck the homs its constraint search lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import product as iproduct
+from operator import getitem
 
 from .chain import OP_NAMES, Chain
 from .errors import (AxiomViolationError, InternalConsistencyError,
@@ -60,8 +69,8 @@ class FinAlgebra:
         return getattr(self, name)
 
     def relabel(self, label: str) -> "FinAlgebra":
-        return FinAlgebra(self.size, self.meet, self.join, self.oplus,
-                          self.odot, self.zero, self.one, label)
+        return _trusted(FinAlgebra, self.size, self.meet, self.join,
+                        self.oplus, self.odot, self.zero, self.one, label)
 
     def __eq__(self, other):
         if not isinstance(other, FinAlgebra):
@@ -180,61 +189,62 @@ def chain_algebra(n: int) -> FinAlgebra:
                       tab("odot"), 0, n, label=f"PL{n}")
 
 
+def _trusted(cls, *values):
+    """An instance of the dataclass cls made without its __post_init__
+    check: only for values that are valid by construction."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
+def _pointwise(factors: list[FinAlgebra], elems: list[tuple[int, ...]],
+               label: str) -> FinAlgebra:
+    """The elements, tuples with one coordinate per factor, as a
+    subalgebra of the product with the pointwise operations; element i
+    is elems[i].  Raises InternalConsistencyError unless the elements
+    are closed under the operations and contain both constants."""
+    index = {e: i for i, e in enumerate(elems)}
+
+    def tab(name):
+        tables = [f.table(name) for f in factors]
+        rows = []
+        for e1 in elems:
+            e1_rows = [t[x] for t, x in zip(tables, e1)]
+            rows.append(tuple([index[tuple(map(getitem, e1_rows, e2))]
+                               for e2 in elems]))
+        return tuple(rows)
+
+    try:
+        return _trusted(FinAlgebra, len(elems), tab("meet"), tab("join"),
+                        tab("oplus"), tab("odot"),
+                        index[tuple(f.zero for f in factors)],
+                        index[tuple(f.one for f in factors)], label)
+    except KeyError as missing:
+        raise InternalConsistencyError(
+            f"pointwise value {missing.args[0]} left the element set"
+        ) from None
+
+
 def pointwise_algebra(n: int, elems: list[tuple[int, ...]],
                       label: str) -> FinAlgebra:
     """The elements, tuples of numerators closed under the chain's
     operations, as an algebra with the pointwise operations."""
-    index = {e: i for i, e in enumerate(elems)}
-    c = Chain(n)
-
-    def tab(name):
-        rows = []
-        for e1 in elems:
-            row = []
-            for e2 in elems:
-                val = tuple(c.op(name, v1, v2) for v1, v2 in zip(e1, e2))
-                if val not in index:
-                    raise InternalConsistencyError(
-                        f"pointwise {name} left the morphism set")
-                row.append(index[val])
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    points = len(elems[0])
-    return FinAlgebra(len(elems), tab("meet"), tab("join"), tab("oplus"),
-                      tab("odot"), index[(0,) * points], index[(n,) * points],
-                      label)
+    return _pointwise([chain_algebra(n)] * len(elems[0]), elems, label)
 
 
 def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """Componentwise algebra on the cartesian product; index = i*|B| + j."""
-    size = a.size * b.size
-
-    def tab(name):
-        ta, tb = a.table(name), b.table(name)
-        rows = []
-        for i1 in range(a.size):
-            for j1 in range(b.size):
-                row = []
-                for i2 in range(a.size):
-                    for j2 in range(b.size):
-                        row.append(ta[i1][i2] * b.size + tb[j1][j2])
-                rows.append(tuple(row))
-        return tuple(rows)
-
-    label = f"({a.label} x {b.label})" if a.label and b.label else ""
-    return FinAlgebra(size, tab("meet"), tab("join"), tab("oplus"),
-                      tab("odot"), a.zero * b.size + b.zero,
-                      a.one * b.size + b.one, label)
+    return _pointwise([a, b], list(iproduct(range(a.size), range(b.size))),
+                      f"({a.label} x {b.label})" if a.label and b.label else "")
 
 
 def power(a: FinAlgebra, k: int) -> FinAlgebra:
+    """The k-fold product, indexed lexicographically."""
     if k == 0:
         return trivial_algebra()
-    result = a
-    for _ in range(k - 1):
-        result = product(result, a)
-    return result.relabel(f"{a.label}^{k}" if a.label else "")
+    return _pointwise([a] * k, list(iproduct(range(a.size), repeat=k)),
+                      f"{a.label}^{k}" if a.label else "")
 
 
 def trivial_algebra() -> FinAlgebra:
@@ -262,15 +272,7 @@ def generated_carrier(a: FinAlgebra, gens) -> tuple[int, ...]:
 
 def restrict(a: FinAlgebra, carrier, label: str = "") -> FinAlgebra:
     """The algebra induced on a closed carrier (indices renumbered)."""
-    carrier = tuple(sorted(carrier))
-    index = {x: i for i, x in enumerate(carrier)}
-
-    def tab(name):
-        t = a.table(name)
-        return tuple(tuple(index[t[x][y]] for y in carrier) for x in carrier)
-
-    return FinAlgebra(len(carrier), tab("meet"), tab("join"), tab("oplus"),
-                      tab("odot"), index[a.zero], index[a.one], label)
+    return _pointwise([a], [(x,) for x in sorted(carrier)], label)
 
 
 def subalgebra_generated(a: FinAlgebra, gens) -> FinAlgebra:
@@ -339,7 +341,7 @@ def hom_enumerate(a: FinAlgebra, b: FinAlgebra,
 
     budget bounds the nodes of the constraint kernel.
     """
-    return [Hom(a, b, m) for m in
+    return [_trusted(Hom, a, b, m) for m in
             constraint_maps(a.size, b.size, _hom_constraints(a, b), budget)]
 
 
@@ -529,14 +531,13 @@ class Embedding:
         return Hom(a, target, tuple(indices))
 
 
-def pmv_membership(a: FinAlgebra, n: int,
-                   budget: int = DEFAULT_HOM_BUDGET) -> Embedding | None:
+def pmv_membership(a: FinAlgebra, n: int) -> Embedding | None:
     """Separating embedding into a power of the chain, or None.
 
     Membership in the quasi-variety of the chain is equivalent to the
     homs into the chain separating points.
     """
-    homs = hom_enumerate(a, chain_algebra(n), budget=budget)
+    homs = hom_enumerate(a, chain_algebra(n))
     vectors = tuple(tuple(h(x) for h in homs) for x in range(a.size))
     if len(set(vectors)) != a.size:
         return None

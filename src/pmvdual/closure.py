@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import DEFAULT_HOM_BUDGET, FinAlgebra
+from .algebra import FinAlgebra
 from .duality import (StructSpace, _space_of_points, dual_points,
                       relation_keys, struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
@@ -184,30 +184,28 @@ def dual_shape_report(x: StructSpace) -> ClosureReport:
     return ClosureReport(True, "dual discrete with no extra relations")
 
 
-def _member_dual_space(a: FinAlgebra, n: int, budget: int) -> StructSpace:
+def _member_dual_space(a: FinAlgebra, n: int) -> StructSpace:
     """The dual space, once its points are seen to separate the elements,
     that is, once the algebra is seen to be a member."""
-    homs = dual_points(a, n, budget=budget)
+    homs = dual_points(a, n)
     if len({tuple(h(t) for h in homs) for t in range(a.size)}) < a.size:
         raise NonMemberError(
             f"algebra is not in the quasi-variety of PL_{n}: its dual "
             f"points do not separate its elements")
-    return _space_of_points(a, homs, n)
+    return _space_of_points(homs, n)
 
 
-def is_algebraically_closed(a: FinAlgebra, n: int,
-                            budget: int = DEFAULT_HOM_BUDGET) -> ClosureReport:
+def is_algebraically_closed(a: FinAlgebra, n: int) -> ClosureReport:
     """True exactly when the dual is discrete with every other relation
     empty, equivalently when the algebra is a finite power of the chain."""
-    return dual_shape_report(_member_dual_space(a, n, budget))
+    return dual_shape_report(_member_dual_space(a, n))
 
 
-def is_existentially_closed(a: FinAlgebra, n: int,
-                            budget: int = DEFAULT_HOM_BUDGET) -> ClosureReport:
+def is_existentially_closed(a: FinAlgebra, n: int) -> ClosureReport:
     """No nontrivial finite algebra qualifies: a finite dual has every
     point isolated.  The one-element algebra (empty dual) is reported
     true but flagged degenerate."""
-    x = _member_dual_space(a, n, budget)
+    x = _member_dual_space(a, n)
     if x.size == 0:
         return ClosureReport(True, "empty dual", degenerate=True)
     shape = dual_shape_report(x)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
-                      congruences, hom_enumerate, pointwise_algebra)
+from .algebra import (FinAlgebra, Hom, chain_algebra, congruences,
+                      hom_enumerate, pointwise_algebra)
 from .errors import (InternalConsistencyError, MalformedInputError,
                      NonMemberError, WrongSignatureError, as_int)
 from .relations import (compute_Sn, format_frac, leq_rel, parse_seq_label,
@@ -154,27 +154,22 @@ def spaces_isomorphic(x: StructSpace, y: StructSpace) -> bool:
 
 # -- the two hom-functors -----------------------------------------------------
 
-def dual_space(a: FinAlgebra, n: int,
-               budget: int = DEFAULT_HOM_BUDGET) -> StructSpace:
+def dual_space(a: FinAlgebra, n: int) -> StructSpace:
     """Points are the homs into the chain; relations hold pointwise."""
-    return _space_of_points(a, dual_points(a, n, budget=budget), n)
+    return _space_of_points(dual_points(a, n), n)
 
 
-def _space_of_points(a: FinAlgebra, homs: list[Hom], n: int) -> StructSpace:
-    rels = {}
-    for key, rel in sn_relations(n).items():
-        pairs = set()
-        for i, u in enumerate(homs):
-            for j, v in enumerate(homs):
-                if all((u(t), v(t)) in rel.pairs for t in range(a.size)):
-                    pairs.add((i, j))
-        rels[key] = frozenset(pairs)
-    return StructSpace(n, len(homs), rels)
+def _space_of_points(homs: list[Hom], n: int) -> StructSpace:
+    maps = [h.map for h in homs]
+    rels = {key: frozenset((i, j) for i, u in enumerate(maps)
+                           for j, v in enumerate(maps)
+                           if all(p in rel.pairs for p in zip(u, v)))
+            for key, rel in sn_relations(n).items()}
+    return StructSpace(n, len(maps), rels)
 
 
-def dual_points(a: FinAlgebra, n: int,
-                budget: int = DEFAULT_HOM_BUDGET) -> list[Hom]:
-    return hom_enumerate(a, chain_algebra(n), budget=budget)
+def dual_points(a: FinAlgebra, n: int) -> list[Hom]:
+    return hom_enumerate(a, chain_algebra(n))
 
 
 def dual_algebra_elements(x: StructSpace) -> list[tuple[int, ...]]:
@@ -202,11 +197,10 @@ class EvalEReport:
         return self.injective and self.surjective
 
 
-def evaluation_e(a: FinAlgebra, n: int,
-                 budget: int = DEFAULT_HOM_BUDGET) -> EvalEReport:
+def evaluation_e(a: FinAlgebra, n: int) -> EvalEReport:
     """The map a |-> (u |-> u(a)) into the double dual."""
-    homs = dual_points(a, n, budget=budget)
-    x = _space_of_points(a, homs, n)
+    homs = dual_points(a, n)
+    x = _space_of_points(homs, n)
     elems = dual_algebra_elements(x)
     ealg = _dual_algebra(x, elems)
     index = {e: i for i, e in enumerate(elems)}
@@ -235,8 +229,7 @@ class EvalEpsReport:
                 and self.relation_preserving and self.relation_reflecting)
 
 
-def evaluation_eps(x: StructSpace, n: int,
-                   budget: int = DEFAULT_HOM_BUDGET) -> EvalEpsReport:
+def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
     """The map x |-> (alpha |-> alpha(x)) into the double dual space."""
     _expect_n(x, n)
     elems = dual_algebra_elements(x)
@@ -244,8 +237,8 @@ def evaluation_eps(x: StructSpace, n: int,
     if not member.member:
         raise NonMemberError(f"space fails membership: {member.witness}")
     ealg = _dual_algebra(x, elems)
-    ypoints = dual_points(ealg, n, budget=budget)
-    y = _space_of_points(ealg, ypoints, n)
+    ypoints = dual_points(ealg, n)
+    y = _space_of_points(ypoints, n)
     index = {p.map: i for i, p in enumerate(ypoints)}
     images = []
     for pt in range(x.size):
@@ -397,15 +390,14 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
 
 # -- congruences vs substructures ---------------------------------------------
 
-def congruence_substructure_check(a: FinAlgebra, n: int,
-                                  budget: int = DEFAULT_HOM_BUDGET) -> bool:
+def congruence_substructure_check(a: FinAlgebra, n: int) -> bool:
     """Congruence lattice anti-isomorphic to the subset lattice of the dual.
 
     Every subset S of the dual carrier induces the congruence identifying
     elements that all points of S agree on; the check verifies this map
     is an order-reversing bijection onto the congruence lattice.
     """
-    homs = dual_points(a, n, budget=budget)
+    homs = dual_points(a, n)
     cons = {tuple(sorted(tuple(sorted(bl)) for bl in th.blocks))
             for th in congruences(a)}
     p = len(homs)

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
-                      hom_enumerate, pmv_membership, pointwise_algebra, power,
-                      product, trivial_algebra)
+from .algebra import (FinAlgebra, Hom, chain_algebra, hom_enumerate,
+                      pmv_membership, pointwise_algebra, power,
+                      trivial_algebra)
 from .errors import InternalConsistencyError, NonMemberError
 from .relations import leq_rel
 from .search import constraint_maps, isomorphism
@@ -117,13 +117,9 @@ def _priestley_power(n: int, lat: FinAlgebra
 
 def boolean_lattice(k: int) -> FinAlgebra:
     """The free bounded distributive lattice on k complemented atoms: 2^k."""
-    two = chain_algebra(1)
     if k == 0:
         return trivial_algebra()
-    lat = two
-    for _ in range(k - 1):
-        lat = product(lat, two)
-    return lat.relabel(f"B{2 ** k}")
+    return power(chain_algebra(1), k).relabel(f"B{2 ** k}")
 
 
 def boolean_power(n: int, k: int) -> FinAlgebra:
@@ -195,8 +191,8 @@ class AdjunctionReport:
         return self.ok
 
 
-def adjunction_check(a: FinAlgebra, lat: FinAlgebra, n: int,
-                     budget: int = DEFAULT_HOM_BUDGET) -> AdjunctionReport:
+def adjunction_check(a: FinAlgebra, lat: FinAlgebra,
+                     n: int) -> AdjunctionReport:
     """Extensional transposition bijection between the two hom-sets.
 
     Each hom A -> power restricts, on skeletons, to an upset-valued map
@@ -206,9 +202,9 @@ def adjunction_check(a: FinAlgebra, lat: FinAlgebra, n: int,
     if not is_dist_lattice_algebra(lat):
         raise ValueError("adjunction_check expects an idempotent second factor")
     l_points, elems, pw = _priestley_power(n, lat)
-    upper = hom_enumerate(a, pw, budget=budget)
+    upper = hom_enumerate(a, pw)
     skel_a, carrier = skeleton(a)
-    lower = hom_enumerate(skel_a, lat, budget=budget)
+    lower = hom_enumerate(skel_a, lat)
     # b in L corresponds to the upset {q : q(b) = 1} of the dual poset
     upset_of = {}
     for b in range(lat.size):

@@ -1,4 +1,4 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -9,10 +9,12 @@ from pmvdual.algebra import (FinAlgebra, Hom, all_subalgebra_carriers,
                              congruences_partition_scan,
                              congruences_principal_closure, find_isomorphism,
                              generated_carrier, hom_enumerate, is_isomorphic,
-                             is_simple, pmv_membership, power, product,
-                             restrict, subalgebra_generated, trivial_algebra)
+                             is_simple, pmv_membership, pointwise_algebra,
+                             power, product, restrict, subalgebra_generated,
+                             trivial_algebra)
 from pmvdual.chain import OP_NAMES
-from pmvdual.errors import AxiomViolationError, BudgetExceededError
+from pmvdual.errors import (AxiomViolationError, BudgetExceededError,
+                            InternalConsistencyError)
 
 
 def test_chain_algebra_tables_match_the_chain():
@@ -234,3 +236,41 @@ def test_isomorphism_matches_a_permutation_scan(a, data):
     scan = a.size == b.size and any(preserves(a, b, perm)
                                     for perm in permutations(range(a.size)))
     assert is_isomorphic(a, b) == scan
+
+
+# -- derived algebras are valid by construction ---------------------------------
+
+def validated(a):
+    """The same tables through the validating constructor."""
+    return FinAlgebra(a.size, a.meet, a.join, a.oplus, a.odot, a.zero, a.one,
+                      a.label)
+
+
+@settings(deadline=None, max_examples=50)
+@given(algebras(), st.data())
+def test_derived_algebras_pass_validation(a, data):
+    b = data.draw(algebras(max_size=64 // a.size))
+    kmax = max(k for k in range(7) if a.size ** k <= 64)
+    k = data.draw(st.integers(0, kmax))
+    n, points = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    chains = power(chain_algebra(n), points)
+    carrier = data.draw(st.sampled_from(all_subalgebra_carriers(chains)))
+    tuples = list(iproduct(range(n + 1), repeat=points))
+    elems = data.draw(st.permutations([tuples[x] for x in carrier]))
+    derived = [product(a, b), power(a, k), pointwise_algebra(n, elems, "E")]
+    derived += [restrict(a, c) for c in all_subalgebra_carriers(a)]
+    for d in derived:
+        assert validated(d) == d
+        for h in hom_enumerate(d, chain_algebra(n)):   # listed unchecked,
+            Hom(d, h.target, h.map)                    # so check here
+    if k:       # the k-fold product is indexed like iterated products
+        assert power(a, k) == reduce(product, [a] * k)
+
+
+@pytest.mark.parametrize("a, carrier", [
+    (power(chain_algebra(2), 2), (0, 1, 8)),    # (0,1) + (0,1) = (0,2)
+    (chain_algebra(2), (0,)),                   # closed, but without the top
+])
+def test_restrict_to_a_non_closed_carrier_raises(a, carrier):
+    with pytest.raises(InternalConsistencyError):
+        restrict(a, carrier)
