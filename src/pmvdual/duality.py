@@ -8,14 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
-from .algebra import (FinAlgebra, Hom, chain_algebra, congruences,
-                      hom_enumerate, pointwise_algebra)
+from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
+                      congruences, hom_enumerate, pointwise_algebra)
 from .errors import (InternalConsistencyError, MalformedInputError,
                      NonMemberError, WrongSignatureError, as_int)
 from .relations import (compute_Sn, format_frac, leq_rel, parse_seq_label,
                         sn_relations, top_seq)
-from .search import constraint_maps, isomorphism
+from .search import (constraint_maps, file_constraints, isomorphism, walk,
+                     with_pair)
 
 Pair = tuple[int, int]
 
@@ -136,10 +138,12 @@ def alter_ego(n: int) -> StructSpace:
 
 def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
     """All structure-preserving maps x -> y, lexicographically ordered."""
-    return list(constraint_maps(
-        x.size, y.size, [(pair, y.relations[key])
-                         for key, pairs in x.relations.items()
-                         for pair in pairs]))
+    return list(constraint_maps(x.size, y.size, _morphism_constraints(x, y)))
+
+
+def _morphism_constraints(x: StructSpace, y: StructSpace) -> list:
+    return [(pair, y.relations[key])
+            for key, pairs in x.relations.items() for pair in pairs]
 
 
 def struct_morphisms(x: StructSpace, y: StructSpace) -> list[StructMorphism]:
@@ -163,8 +167,8 @@ def _space_of_points(homs: list[Hom], n: int) -> StructSpace:
     maps = [h.map for h in homs]
     rels = {key: frozenset((i, j) for i, u in enumerate(maps)
                            for j, v in enumerate(maps)
-                           if all(p in rel.pairs for p in zip(u, v)))
-            for key, rel in sn_relations(n).items()}
+                           if all(p in target for p in zip(u, v)))
+            for key, target in alter_ego(n).relations.items()}
     return StructSpace(n, len(maps), rels)
 
 
@@ -232,10 +236,10 @@ class EvalEpsReport:
 def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
     """The map x |-> (alpha |-> alpha(x)) into the double dual space."""
     _expect_n(x, n)
-    elems = dual_algebra_elements(x)
-    member = _separation(x, elems)
+    member = _separation(x)
     if not member.member:
         raise NonMemberError(f"space fails membership: {member.witness}")
+    elems = dual_algebra_elements(x)
     ealg = _dual_algebra(x, elems)
     ypoints = dual_points(ealg, n)
     y = _space_of_points(ypoints, n)
@@ -247,18 +251,12 @@ def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
             raise InternalConsistencyError(
                 "point evaluation is not a hom of the dual algebra")
         images.append(index[val])
-    preserving = True
-    reflecting = True
-    for key, pairs in x.relations.items():
-        ypairs = y.relations[key]
-        for u in range(x.size):
-            for v in range(x.size):
-                src = (u, v) in pairs
-                tgt = (images[u], images[v]) in ypairs
-                if src and not tgt:
-                    preserving = False
-                if tgt and not src:
-                    reflecting = False
+    points = range(x.size)
+    pulled = {key: {(u, v) for u in points for v in points
+                    if (images[u], images[v]) in y.relations[key]}
+              for key in x.relations}
+    preserving = all(x.relations[key] <= pulled[key] for key in pulled)
+    reflecting = all(pulled[key] <= x.relations[key] for key in pulled)
     injective = len(set(images)) == x.size
     surjective = set(images) == set(range(y.size))
     return EvalEpsReport(tuple(images), injective, surjective,
@@ -280,7 +278,7 @@ def xn_membership(x: StructSpace, n: int) -> MembershipReport:
     """Separation test: morphisms into the dualizing structure must
     distinguish distinct points and avoid every absent relation pair."""
     _expect_n(x, n)
-    return _separation(x, dual_algebra_elements(x))
+    return _separation(x)
 
 
 def _expect_n(x: StructSpace, n: int) -> None:
@@ -288,23 +286,41 @@ def _expect_n(x: StructSpace, n: int) -> None:
         raise WrongSignatureError(f"space has n={x.n}, expected {n}")
 
 
-def _separation(x: StructSpace,
-                maps: list[tuple[int, ...]]) -> MembershipReport:
-    for p in range(x.size):
-        for q in range(p + 1, x.size):
-            if not any(m[p] != m[q] for m in maps):
-                return MembershipReport(False, ("separation", p, q))
-    rels = sn_relations(x.n)
-    for key in sorted(x.relations):
-        pairs = x.relations[key]
-        target = rels[key].pairs
-        for p in range(x.size):
-            for q in range(x.size):
-                if (p, q) in pairs:
-                    continue
-                if not any((m[p], m[q]) not in target for m in maps):
-                    return MembershipReport(False, ("relation", key, (p, q)))
+def _separation(x: StructSpace) -> MembershipReport:
+    """The first pair p < q that no morphism into the alter ego
+    separates, else, key by key, the first absent pair that every
+    morphism sends into the relation.  A pair tries the witnesses found
+    so far, then asks the kernel for the first morphism whose images of
+    the pair are distinct, or outside the relation."""
+    ae, (distinct, outside) = alter_ego(x.n), _avoided(x.n)
+    filed = file_constraints(x.size, ae.size, _morphism_constraints(x, ae))
+    points = range(x.size)
+    checks = chain(
+        ((("separation", p, q), p, q, distinct)
+         for p in points for q in points if p < q),
+        ((("relation", key, (p, q)), p, q, outside[key])
+         for key in sorted(x.relations) for p in points for q in points
+         if (p, q) not in x.relations[key]))
+    found: list[tuple[int, ...]] = []
+    for witness, p, q, avoid in checks:
+        for m in found:
+            if (m[p], m[q]) in avoid:
+                break
+        else:
+            m = next(walk(with_pair(filed, p, q, avoid), DEFAULT_HOM_BUDGET),
+                     None)
+            if m is None:
+                return MembershipReport(False, witness)
+            found.append(m)
     return MembershipReport(True)
+
+
+@lru_cache(maxsize=None)
+def _avoided(n: int) -> tuple[frozenset[Pair], dict]:
+    """The pairs of distinct images, and those outside each relation."""
+    every = frozenset((u, v) for u in range(n + 1) for v in range(n + 1))
+    return (every - {(u, u) for u in range(n + 1)},
+            {key: every - rel for key, rel in alter_ego(n).relations.items()})
 
 
 @dataclass(frozen=True)
@@ -338,53 +354,28 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
     if not axiom_a:
         witnesses["a"] = sorted(sharp - order)[0]
 
-    axiom_b = True
-    for p in range(x.size):
-        if (p, p) not in order:
-            axiom_b, witnesses["b"] = False, ("not reflexive", p)
-            break
-    if axiom_b:
-        for (u, v) in order:
-            if u != v and (v, u) in order:
-                axiom_b, witnesses["b"] = False, ("not antisymmetric", (u, v))
-                break
-    if axiom_b:
-        for (u, v) in order:
-            for (v2, w) in order:
-                if v2 == v and (u, w) not in order:
-                    axiom_b, witnesses["b"] = False, ("not transitive", (u, v, w))
-                    break
-            if not axiom_b:
-                break
+    failure = next(chain(
+        (("not reflexive", p) for p in range(x.size) if (p, p) not in order),
+        (("not antisymmetric", (u, v)) for (u, v) in order
+         if u != v and (v, u) in order),
+        (("not transitive", (u, v, w)) for (u, v) in order
+         for (v2, w) in order if v2 == v and (u, w) not in order)), None)
+    axiom_b = failure is None
+    if not axiom_b:
+        witnesses["b"] = failure
 
-    axiom_c = True
+    axiom_c = axiom_b
     if axiom_b:
         # the upsets are the monotone maps into the two-element chain
         le = leq_rel(1).pairs
         ups = [frozenset(p for p in range(x.size) if m[p]) for m in
                constraint_maps(x.size, 2, [(pair, le) for pair in order])]
         downs = [frozenset(range(x.size)) - u for u in ups]
-        for (p, q) in sorted(order):
-            if (p, q) in sharp:
-                continue
-            solved = False
-            for u in ups:
-                if q in u:
-                    continue
-                for d in downs:
-                    if p in d:
-                        continue
-                    if all(z in d or z2 in u for (z, z2) in sharp):
-                        solved = True
-                        break
-                if solved:
-                    break
-            if not solved:
-                axiom_c = False
-                witnesses["c"] = (p, q)
+        for (p, q) in sorted(order - sharp):
+            if not any(all(z in d or z2 in u for (z, z2) in sharp)
+                       for u in ups if q not in u for d in downs if p not in d):
+                axiom_c, witnesses["c"] = False, (p, q)
                 break
-    else:
-        axiom_c = False
     return X2Report(axiom_a, axiom_b, axiom_c, witnesses)
 
 

@@ -8,6 +8,10 @@ their ternary graphs), morphisms of structured spaces and monotone maps
 of posets are all such searches: homomorphisms as constraint
 satisfaction (Feder & Vardi, SIAM J. Comput. 1998).  So is the list of
 good sequences behind the relation lattice S_n (relations.compute_Sn).
+
+A search has two steps: file_constraints sets it up, walk lists the
+maps.  The membership test files a space's constraints once, then walks
+them for each pair of points with one more constraint on it (with_pair).
 """
 from __future__ import annotations
 
@@ -50,24 +54,27 @@ def _table(shape: Points, allowed: frozenset[Points], t: int
     return tuple(table)
 
 
+# (size, t, own images, (q, table) pairs and (q, r, table) triples ending
+# at each point, the images of each mask met: shared by a search's walks)
+Filed = tuple[int, int, list[int], list, list, dict[int, Points]]
+
+
 def constraint_maps(size: int, target_size: int,
                     constraints: Iterable[Constraint],
                     budget: int | None = None) -> Iterator[Points]:
     """Every map {0..size-1} -> {0..target_size-1} that sends each
-    constraint's points into its allowed set, in lexicographic order.
+    constraint's points into its allowed set, in lexicographic order."""
+    return walk(file_constraints(size, target_size, constraints), budget)
 
-    Each constraint is filed under its largest point p as one table of
-    bitmasks of the images of p, indexed by the images of its other
-    points; a table is built once per shape and allowed set, and the
-    tables of constraints on the same points are merged.  A choice for
-    p then checks only the constraints that end at p.  The
-    search keeps an explicit stack, so the cost of a map does not grow
-    with the number of points.  Every partial map put on the stack is
-    one node; past budget nodes the search raises BudgetExceededError.
-    """
-    if size == 0:
-        yield ()
-        return
+
+def file_constraints(size: int, target_size: int,
+                     constraints: Iterable[Constraint]) -> Filed:
+    """The set-up of a search.  Each constraint is filed under its
+    largest point p as one table of bitmasks of the images of p, indexed
+    by the images of its other points; a table is built once per shape
+    and allowed set, and the tables of constraints on the same points
+    are merged.  A choice for p then checks only the constraints that
+    end at p."""
     t = target_size
     own = [(1 << t) - 1] * size
     # the tables of this search: an allowed set met again is the same
@@ -75,11 +82,16 @@ def constraint_maps(size: int, target_size: int,
     tables: dict[tuple[Points, frozenset[Points]], tuple[int, ...]] = {}
     merged: dict[Points, tuple[int, ...]] = {}
     # the meet of two tables by their identities, kept with the two
-    # tables so that neither identity can be reused during the search
+    # tables so that neither identity can be reused during the set-up
     meets: dict[tuple[int, int], tuple] = {}
     for points, allowed in constraints:
-        ranks = tuple(sorted(set(points)))
-        shape = tuple(map(ranks.index, points))
+        if len(points) == 2:        # most constraints: ranked unsorted
+            p, q = points
+            ranks, shape = (((p, q), (0, 1)) if p < q else
+                            ((q, p), (1, 0)) if q < p else ((p,), (0, 0)))
+        else:
+            ranks = tuple(sorted(set(points)))
+            shape = tuple(map(ranks.index, points))
         table = tables.get((shape, allowed))
         if table is None:
             table = tables[(shape, allowed)] = _table(shape, allowed, t)
@@ -101,9 +113,36 @@ def constraint_maps(size: int, target_size: int,
             pairs[ranks[1]].append((ranks[0], table))
         else:
             triples[ranks[2]].append((ranks[0], ranks[1], table))
+    return size, t, own, pairs, triples, {}
+
+
+def with_pair(filed: Filed, p: int, q: int,
+              allowed: frozenset[Points]) -> Filed:
+    """filed and the constraint ((p, q), allowed), the rest shared."""
+    size, t, own, pairs, triples, decoded = filed
+    if p == q:
+        own = own.copy()
+        own[p] &= _table((0, 0), allowed, t)[0]
+        return size, t, own, pairs, triples, decoded
+    (lo, hi), shape = ((p, q), (0, 1)) if p < q else ((q, p), (1, 0))
+    pairs = pairs.copy()
+    pairs[hi] = pairs[hi] + [(lo, _table(shape, allowed, t))]
+    return size, t, own, pairs, triples, decoded
+
+
+def walk(filed: Filed, budget: int | None = None) -> Iterator[Points]:
+    """The maps that meet the filed constraints, in lexicographic order.
+    The walk keeps an explicit stack, so the cost of a map does not grow
+    with the number of points.  Every partial map put on the stack is
+    one node; past budget nodes the walk raises BudgetExceededError."""
+    size, t, own, pairs, triples, decoded = filed
+    if 0 in own:            # a point without an image: no map at all
+        return
+    if size == 0:
+        yield ()
+        return
     limit = budget if budget is not None else sys.maxsize
     nodes = 0
-    decoded: dict[int, Points] = {}
     stack: list[Points] = [()]
     while stack:
         prefix = stack.pop()

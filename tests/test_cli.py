@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pmvdual import cli, relations
+from pmvdual import cli, duality, relations
 from pmvdual.algebra import chain_algebra, power
 from pmvdual.cli import main
 from pmvdual.duality import StructSpace
@@ -128,6 +128,16 @@ def test_oracle_diff_reports_a_missed_sequence(monkeypatch):
     code, text = run(["oracle-diff", "4"])
     assert code == 1
     assert "algorithm-oracle=[(4, 4, 4)]" in text
+
+
+def test_membership_search_budget(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(duality, "DEFAULT_HOM_BUDGET", 5)
+    space = duality.disjoint_union(duality.alter_ego(2), duality.alter_ego(2))
+    path = write_json(tmp_path, "x.json", space.to_json())
+    code, text = run(["membership", "2", "--space", path])
+    err = capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert err == "error: search budget exceeded (budget = 5)\n"
 
 
 def test_sn_search_budget(monkeypatch, capsys):

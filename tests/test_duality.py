@@ -1,17 +1,22 @@
+from functools import lru_cache, reduce
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmvdual.algebra import chain_algebra, power, subalgebra_generated
-from pmvdual.duality import (StructMorphism, StructSpace, alter_ego,
-                             congruence_substructure_check, disjoint_union,
-                             dual_algebra, dual_space, empty_space,
-                             evaluation_e, evaluation_eps, relation_keys,
-                             spaces_isomorphic, struct_morphism_maps,
-                             struct_space_to_dot, x2_axiom_check,
-                             xn_membership)
+from pmvdual.algebra import (all_subalgebra_carriers, chain_algebra,
+                             hom_enumerate, power, restrict,
+                             subalgebra_generated)
+from pmvdual.algebra import product as algebra_product
+from pmvdual.duality import (MembershipReport, StructMorphism, StructSpace,
+                             alter_ego, congruence_substructure_check,
+                             disjoint_union, dual_algebra, dual_space,
+                             empty_space, evaluation_e, evaluation_eps,
+                             relation_keys, spaces_isomorphic,
+                             struct_morphism_maps, struct_space_to_dot,
+                             x2_axiom_check, xn_membership)
 from pmvdual.errors import NonMemberError, WrongSignatureError
+from pmvdual.relations import top_seq
 
 
 def two_space(sharp, order):
@@ -203,3 +208,104 @@ def test_space_isomorphism_matches_a_permutation_scan(data):
     scan = x.size == y.size and any(relabel(x, p) == y
                                     for p in permutations(range(x.size)))
     assert spaces_isomorphic(x, y) == scan
+
+
+# -- membership against the full-list scan ----------------------------------------
+
+def separation_scan(x):
+    """The membership test by one list of every morphism into the alter
+    ego, scanned for each pair: the deliberate oracle of the per-pair
+    witness search."""
+    maps = struct_morphism_maps(x, alter_ego(x.n))
+    for p in range(x.size):
+        for q in range(p + 1, x.size):
+            if not any(m[p] != m[q] for m in maps):
+                return MembershipReport(False, ("separation", p, q))
+    for key in sorted(x.relations):
+        target = alter_ego(x.n).relations[key]
+        for p in range(x.size):
+            for q in range(x.size):
+                if (p, q) not in x.relations[key] and not any(
+                        (m[p], m[q]) not in target for m in maps):
+                    return MembershipReport(False, ("relation", key, (p, q)))
+    return MembershipReport(True)
+
+
+def discrete_space(n, size):
+    """The dual of PL_n^size: size copies of the dual of the chain."""
+    return reduce(disjoint_union, [dual_space(chain_algebra(n), n)] * size,
+                  empty_space(n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_membership_matches_the_full_list_scan(data):
+    n = data.draw(st.integers(1, 4))
+    x = data.draw(spaces(n))
+    assert xn_membership(x, n) == separation_scan(x)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_membership_matches_the_scan_on_perturbed_discrete_spaces(data):
+    n = data.draw(st.integers(1, 4))
+    x = discrete_space(n, data.draw(st.integers(1, 5 if n < 4 else 4)))
+    rels = dict(x.relations)
+    for _ in range(data.draw(st.integers(0, 2))):
+        key = data.draw(st.sampled_from(sorted(rels)))
+        pair = data.draw(st.tuples(st.integers(0, x.size - 1),
+                                   st.integers(0, x.size - 1)))
+        rels[key] = rels[key] ^ {pair}          # add or remove the pair
+    y = StructSpace(n, x.size, rels)
+    assert xn_membership(y, n) == separation_scan(y)
+
+
+def test_a_discrete_space_of_twelve_points_is_a_member():
+    # 5^12 morphisms into the alter ego: too many to list
+    assert xn_membership(discrete_space(4, 12), 4) == MembershipReport(True)
+
+
+def test_a_missing_loop_of_the_last_point_needs_no_search():
+    # no image of point 11 avoids the order, which the walk sees before
+    # it expands points 0..10 (5^11 prefixes, past the node budget)
+    x, order = discrete_space(4, 12), top_seq(4).y
+    y = StructSpace(4, 12, {**x.relations,
+                            order: x.order_pairs - {(11, 11)}})
+    assert xn_membership(y, 4) == MembershipReport(
+        False, ("relation", order, (11, 11)))
+
+
+# -- the duality on random subalgebras of chain powers ----------------------------
+
+@lru_cache(maxsize=None)
+def chain_power_subalgebras(n, k):
+    big = power(chain_algebra(n), k)
+    return [restrict(big, c) for c in all_subalgebra_carriers(big)]
+
+
+@st.composite
+def chain_power_subalgebra(draw, n):
+    k = draw(st.integers(1, 3 if n == 1 else 2))
+    return draw(st.sampled_from(chain_power_subalgebras(n, k)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_evaluation_maps_are_isomorphisms(data):
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(chain_power_subalgebra(n))
+    assert evaluation_e(a, n).bijective
+    assert evaluation_eps(dual_space(a, n), n).isomorphism
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_coproduct_law(data):
+    n = data.draw(st.integers(1, 3))
+    a, b = data.draw(chain_power_subalgebra(n)), data.draw(
+        chain_power_subalgebra(n))
+    ab, chain = algebra_product(a, b), chain_algebra(n)
+    assert len(hom_enumerate(ab, chain)) == \
+        len(hom_enumerate(a, chain)) + len(hom_enumerate(b, chain))
+    assert spaces_isomorphic(dual_space(ab, n), disjoint_union(
+        dual_space(a, n), dual_space(b, n)))

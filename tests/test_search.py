@@ -1,0 +1,35 @@
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pmvdual.search import constraint_maps, file_constraints, walk, with_pair
+
+
+@st.composite
+def allowed_sets(draw, t, arity):
+    return draw(st.frozensets(st.sampled_from(
+        list(product(range(t), repeat=arity)))))
+
+
+@pytest.mark.parametrize("order", ["p < q", "p > q", "p == q"])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_filed_search_with_one_more_pair_matches_constraint_maps(order,
+                                                                 data):
+    size = data.draw(st.integers(1 if order == "p == q" else 2, 5))
+    t = data.draw(st.integers(1, 4))
+    point = st.integers(0, size - 1)
+    base = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        points = tuple(data.draw(st.lists(point, min_size=1, max_size=3)))
+        base.append((points, data.draw(allowed_sets(t, len(points)))))
+    lo = data.draw(st.integers(0, size - 1 if order == "p == q" else size - 2))
+    hi = lo if order == "p == q" else data.draw(st.integers(lo + 1, size - 1))
+    p, q = (hi, lo) if order == "p > q" else (lo, hi)
+    allowed = data.draw(allowed_sets(t, 2))
+    filed = file_constraints(size, t, base)
+    assert list(walk(with_pair(filed, p, q, allowed))) == \
+        list(constraint_maps(size, t, base + [((p, q), allowed)]))
+    # the extra pair leaves the filed search as it was
+    assert list(walk(filed)) == list(constraint_maps(size, t, base))
