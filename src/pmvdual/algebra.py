@@ -14,14 +14,14 @@ does not recheck the homs its constraint search lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 from operator import getitem
 
 from .chain import OP_NAMES, Chain
 from .errors import (AxiomViolationError, InternalConsistencyError,
                      MalformedInputError, SizeLimitError, as_int)
-from .search import Constraint, constraint_maps, injective_map
+from .search import Filed, _table, injective, walk
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -341,23 +341,85 @@ def hom_enumerate(a: FinAlgebra, b: FinAlgebra,
 
     budget bounds the nodes of the constraint kernel.
     """
-    return [_trusted(Hom, a, b, m) for m in
-            constraint_maps(a.size, b.size, _hom_constraints(a, b), budget)]
+    return [_trusted(Hom, a, b, m) for m in walk(_file_homs(a, b), budget)]
 
 
-def _hom_constraints(a: FinAlgebra, b: FinAlgebra) -> list[Constraint]:
-    """The constants, and for each operation and each x <= y the triple
-    (x, y, t[x][y]) into the operation's graph in b; all four operations
-    are commutative, so these fix the whole graph."""
-    constraints = [((a.zero,), frozenset({(b.zero,)})),
-                   ((a.one,), frozenset({(b.one,)}))]
+@lru_cache(maxsize=16)
+def _target_tables(b: FinAlgebra) -> tuple[list[int], list, dict]:
+    """The tables of the hom searches into b.  For each operation, in
+    OP_NAMES order: the bitmask of its idempotents, and the search._table
+    of its graph for each shape that a triple (x, y, t[x][y]) with x <= y
+    can take when its points are not all one, table 7 i + s for
+    operation i and shape s:  s = 0: z < x = y, 1: x = y < z,
+    2: z < x < y, 3: z = x < y, 4: x < z < y, 5: x < y = z, 6: x < y < z.
+    Last, the memo of the meets of those tables by bitmask, which
+    _file_homs fills."""
+    idem, tables = [], []
     for name in OP_NAMES:
-        ta, tb = a.table(name), b.table(name)
-        graph = frozenset((x, y, z) for x, row in enumerate(tb)
+        graph = frozenset((x, y, z) for x, row in enumerate(b.table(name))
                           for y, z in enumerate(row))
-        constraints += [((x, y, ta[x][y]), graph)
-                        for x in range(a.size) for y in range(x, a.size)]
-    return constraints
+        idem.append(_table((0, 0, 0), graph, b.size)[0])
+        tables += [_table(shape, graph, b.size) for shape in
+                   ((1, 1, 0), (0, 0, 1), (1, 2, 0), (0, 1, 0), (0, 2, 1),
+                    (0, 1, 1), (0, 1, 2))]
+    return idem, tables, {}
+
+
+def _file_homs(a: FinAlgebra, b: FinAlgebra) -> Filed:
+    """The kernel's set-up for the homs a -> b: the constants, and for
+    each operation and each x <= y the triple (x, y, t[x][y]) into the
+    operation's graph in b; all four operations are commutative, so
+    these fix the whole graph.  The triples on the same points are
+    collected as one bitmask of (operation, shape) and meet as one
+    table, which is shared by every search into b."""
+    idem, tables, memo = _target_tables(b)
+    size = a.size
+    own = [(1 << b.size) - 1] * size
+    own[a.zero] &= 1 << b.zero
+    own[a.one] &= 1 << b.one
+    # the masks of the points lo < hi at pair[hi size + lo], and of the
+    # points lo < mid < hi at triple[(hi size + lo) size + mid]
+    pair = [0] * size * size
+    triple: dict[int, int] = {}
+    get = triple.get
+    for i, name in enumerate(OP_NAMES):
+        b0, b1, b2, b3, b4, b5, b6 = (1 << 7 * i + s for s in range(7))
+        for x, row in enumerate(a.table(name)):
+            z = row[x]
+            if z == x:
+                own[x] &= idem[i]
+            elif z < x:
+                pair[x * size + z] |= b0
+            else:
+                pair[z * size + x] |= b1
+            for y, z in enumerate(row[x + 1:], x + 1):
+                if z < x:
+                    k = (y * size + z) * size + x
+                    triple[k] = get(k, 0) | b2
+                elif z == x:
+                    pair[y * size + x] |= b3
+                elif z < y:
+                    k = (y * size + x) * size + z
+                    triple[k] = get(k, 0) | b4
+                elif z == y:
+                    pair[y * size + x] |= b5
+                else:
+                    k = (z * size + x) * size + y
+                    triple[k] = get(k, 0) | b6
+    for mask in set(pair).union(triple.values()) - memo.keys():
+        if mask:
+            memo[mask] = reduce(
+                lambda t1, t2: tuple([m1 & m2 for m1, m2 in zip(t1, t2)]),
+                [t for k, t in enumerate(tables) if mask >> k & 1])
+    pairs = [[(x, memo[mask]) for x, mask in
+              enumerate(pair[y * size:y * size + y]) if mask]
+             for y in range(size)]
+    triples: list[list[tuple]] = [[] for _ in range(size)]
+    for k, mask in triple.items():
+        zx, y = divmod(k, size)
+        z, x = divmod(zx, size)
+        triples[z].append((x, y, memo[mask]))
+    return size, b.size, own, pairs, triples, {}
 
 
 # -- congruences -----------------------------------------------------------
@@ -546,12 +608,30 @@ def pmv_membership(a: FinAlgebra, n: int) -> Embedding | None:
 
 # -- isomorphism search ------------------------------------------------------
 
+def _invariant(a: FinAlgebra, x: int) -> tuple:
+    """What an isomorphism keeps of an element: the sizes of its down-set
+    and its up-set, and whether it is idempotent for (+) and for (.)."""
+    below = sum(1 for y in range(a.size) if a.meet[y][x] == y)
+    above = sum(1 for y in range(a.size) if a.meet[x][y] == x)
+    return below, above, a.oplus[x][x] == x, a.odot[x][x] == x
+
+
 def find_isomorphism(a: FinAlgebra, b: FinAlgebra) -> tuple[int, ...] | None:
-    """An injective hom, which between algebras of one size is an
-    isomorphism."""
+    """The lexicographically first isomorphism a -> b, or None: the first
+    injective hom, which between algebras of one size is an isomorphism.
+    Each element may only go to an element with its _invariant, so two
+    algebras whose invariants differ are told apart before any search."""
     if a.size != b.size:
         return None
-    return injective_map(a.size, _hom_constraints(a, b))
+    inv_a = [_invariant(a, x) for x in range(a.size)]
+    inv_b = [_invariant(b, y) for y in range(b.size)]
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+    filed = _file_homs(a, b)
+    own = filed[2]
+    for x, inv in enumerate(inv_a):
+        own[x] &= sum(1 << y for y, other in enumerate(inv_b) if other == inv)
+    return next(walk(injective(filed)), None)
 
 
 def is_isomorphic(a: FinAlgebra, b: FinAlgebra) -> bool:

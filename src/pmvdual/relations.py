@@ -11,16 +11,18 @@ from functools import lru_cache
 from itertools import product
 
 from .chain import OP_NAMES, Chain, Subalgebra, chain_subalgebras
-from .errors import (MalformedSequenceError, NotASubalgebraError,
-                     SizeLimitError)
+from .errors import (BudgetExceededError, MalformedSequenceError,
+                     NotASubalgebraError, SizeLimitError)
 from .search import constraint_maps
 
 Pair = tuple[int, int]
 
 ORACLE_MAX_N = 6
 
-# Node budget of the good-sequence search: n = 14 takes 472 269 nodes
-# and n = 15 takes 1 455 651, so sn 14 completes and sn 15 stops.
+# Budget of the good-sequence search, in candidate cells of its allowed
+# sets and then nodes: n = 14 takes 6 062 cells and 472 269 nodes, n = 15
+# takes 1 455 651 nodes, so sn 14 completes and sn 15 stops; past
+# n = 66 the cells alone exceed it and nothing is built.
 SN_BUDGET = 600_000
 
 
@@ -306,7 +308,12 @@ def _good_sequences(n: int) -> list[tuple[int, ...]]:
     j <= j', (a, b) = (j, y_j) (+) (j', y_j') needs b >= y_a, a ternary
     constraint, or a binary one when a = n, where y_n = n; the same
     holds for (.) when j + j' > n (below that a = 0, where y_0 = 0).
+    The n^arity candidate tuples of the allowed sets are charged to
+    SN_BUDGET before they are built, and the search gets what is left.
     """
+    cells = 2 * n ** 3 + 2 * n ** 2 + (n - 1) * n
+    if cells > SN_BUDGET:
+        raise BudgetExceededError(SN_BUDGET)
     oplus = _allowed(n, 3, lambda yj, yk, ya: min(n, yj + yk) >= ya)
     oplus_top = _allowed(n, 2, lambda yj, yk: min(n, yj + yk) >= n)
     odot = _allowed(n, 3, lambda ya, yj, yk: max(0, yj + yk - n) >= ya)
@@ -322,8 +329,11 @@ def _good_sequences(n: int) -> list[tuple[int, ...]]:
                 constraints.append(((j - 1, k - 1), oplus_top))
             if j + k > n:
                 constraints.append(((j + k - n - 1, j - 1, k - 1), odot))
-    return [tuple(n - d for d in images) for images in
-            constraint_maps(n - 1, n, constraints, SN_BUDGET)]
+    try:
+        return [tuple(n - d for d in images) for images in
+                constraint_maps(n - 1, n, constraints, SN_BUDGET - cells)]
+    except BudgetExceededError:
+        raise BudgetExceededError(SN_BUDGET) from None
 
 
 def _hasse(n: int, ys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

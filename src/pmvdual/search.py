@@ -3,11 +3,13 @@
 A search lists the maps {0..size-1} -> {0..target_size-1} that send
 each constraint (points, allowed) into allowed: points is a tuple of one
 to three points and allowed a set of image tuples of the same length.
-Algebra homomorphisms (constants as unary relations, operations as
-their ternary graphs), morphisms of structured spaces and monotone maps
-of posets are all such searches: homomorphisms as constraint
-satisfaction (Feder & Vardi, SIAM J. Comput. 1998).  So is the list of
-good sequences behind the relation lattice S_n (relations.compute_Sn).
+Morphisms of structured spaces and monotone maps of posets are such
+searches, and so is the list of good sequences behind the relation
+lattice S_n (relations.compute_Sn).  Algebra homomorphisms are too
+(homomorphisms as constraint satisfaction: Feder & Vardi, SIAM J.
+Comput. 1998), with the constants as unary constraints and each
+operation as its ternary graph; algebra._file_homs builds their set-up
+(Filed) straight from the operation tables, without listing them.
 
 A search has two steps: file_constraints sets it up, walk lists the
 maps.  The membership test files a space's constraints once, then walks
@@ -34,7 +36,9 @@ def _table(shape: Points, allowed: frozenset[Points], t: int
     point, the bitmask of the allowed images of the largest point,
     indexed by the images of the others in base t.  Cached, since most
     searches use the same few allowed sets: the relations of an alter
-    ego, the operation graphs of a chain."""
+    ego, the closure conditions of S_n.  The hom searches into an
+    algebra make the tables of its operation graphs here once
+    (algebra._target_tables)."""
     k = max(shape)
     if k == 0:
         return (sum(1 << v for v in range(t) if (v,) * len(shape) in allowed),)
@@ -166,14 +170,14 @@ def walk(filed: Filed, budget: int | None = None) -> Iterator[Points]:
             stack.extend([prefix + (b,) for b in reversed(images)])
 
 
-def injective_map(size: int, constraints: list[Constraint]) -> Points | None:
-    """The first injective map of {0..size-1} to itself that sends each
-    constraint's points into its allowed set, or None."""
-    distinct = frozenset((a, b) for a in range(size) for b in range(size)
-                         if a != b)
-    constraints = constraints + [((u, v), distinct) for u in range(size)
-                                 for v in range(u + 1, size)]
-    return next(constraint_maps(size, size, constraints), None)
+def injective(filed: Filed) -> Filed:
+    """filed and the constraint that distinct points have distinct
+    images, the rest shared."""
+    size, t, own, pairs, triples, decoded = filed
+    distinct = tuple(((1 << t) - 1) ^ (1 << v) for v in range(t))
+    pairs = [pairs[p] + [(q, distinct) for q in range(p)]
+             for p in range(size)]
+    return size, t, own, pairs, triples, decoded
 
 
 def isomorphism(size: int, relations: list[tuple[frozenset[Points],
@@ -188,5 +192,6 @@ def isomorphism(size: int, relations: list[tuple[frozenset[Points],
     """
     if any(len(src) != len(tgt) for src, tgt in relations):
         return None
-    return injective_map(size, [(points, tgt) for src, tgt in relations
-                                for points in src])
+    filed = file_constraints(size, size, [(points, tgt) for src, tgt in
+                                          relations for points in src])
+    return next(walk(injective(filed)), None)

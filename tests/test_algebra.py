@@ -15,6 +15,7 @@ from pmvdual.algebra import (FinAlgebra, Hom, all_subalgebra_carriers,
 from pmvdual.chain import OP_NAMES
 from pmvdual.errors import (AxiomViolationError, BudgetExceededError,
                             InternalConsistencyError)
+from pmvdual.search import constraint_maps
 
 
 def test_chain_algebra_tables_match_the_chain():
@@ -236,6 +237,78 @@ def test_isomorphism_matches_a_permutation_scan(a, data):
     scan = a.size == b.size and any(preserves(a, b, perm)
                                     for perm in permutations(range(a.size)))
     assert is_isomorphic(a, b) == scan
+
+
+# -- the hom filer against the constraint list it stands for --------------------
+
+def hom_constraints(a, b):
+    """The constants, and for each operation and each x <= y the triple
+    (x, y, t[x][y]) into the operation's graph in b; all four operations
+    are commutative, so these fix the whole graph.  hom_enumerate files
+    these constraints straight from the tables without listing them."""
+    constraints = [((a.zero,), frozenset({(b.zero,)})),
+                   ((a.one,), frozenset({(b.one,)}))]
+    for name in OP_NAMES:
+        ta, tb = a.table(name), b.table(name)
+        graph = frozenset((x, y, z) for x, row in enumerate(tb)
+                          for y, z in enumerate(row))
+        constraints += [((x, y, ta[x][y]), graph)
+                        for x in range(a.size) for y in range(x, a.size)]
+    return constraints
+
+
+def oracle_homs(a, b, budget):
+    """The hom maps a -> b by the generic set-up, or "budget"."""
+    try:
+        return list(constraint_maps(a.size, b.size, hom_constraints(a, b),
+                                    budget))
+    except BudgetExceededError:
+        return "budget"
+
+
+def filed_homs(a, b, budget):
+    try:
+        return [h.map for h in hom_enumerate(a, b, budget)]
+    except BudgetExceededError:
+        return "budget"
+
+
+def oracle_isomorphism(a, b):
+    """The first injective map that meets the hom constraints, or None."""
+    if a.size != b.size:
+        return None
+    distinct = frozenset((u, v) for u in range(a.size)
+                         for v in range(a.size) if u != v)
+    constraints = hom_constraints(a, b) + [
+        ((u, v), distinct) for u in range(a.size)
+        for v in range(u + 1, a.size)]
+    return next(constraint_maps(a.size, a.size, constraints), None)
+
+
+@settings(deadline=None, max_examples=60)
+@given(algebras(max_size=16), st.data())
+def test_hom_filer_matches_the_constraint_list(a, data):
+    # budgets small enough to stop some searches: the node counts agree
+    budget = data.draw(st.sampled_from([20, 200, 5_000_000]))
+    b = data.draw(algebras(max_size=64 // a.size))
+    for source in (a, product(a, b)):
+        chain = chain_algebra(data.draw(st.integers(1, 3)))
+        assert filed_homs(source, chain, budget) == \
+            oracle_homs(source, chain, budget)
+    c = data.draw(algebras(max_size=16))
+    assert filed_homs(a, c, budget) == oracle_homs(a, c, budget)
+    assert filed_homs(c, a, budget) == oracle_homs(c, a, budget)
+
+
+@settings(deadline=None, max_examples=60)
+@given(algebras(max_size=16), st.data())
+def test_find_isomorphism_matches_the_constraint_list(a, data):
+    same_size = [c for c in small_subalgebras(16) if c.size == a.size]
+    b = data.draw(st.sampled_from([relabel(a, data.draw(
+        st.permutations(range(a.size)))), relabel(
+        data.draw(st.sampled_from(same_size)),
+        data.draw(st.permutations(range(a.size))))]))
+    assert find_isomorphism(a, b) == oracle_isomorphism(a, b)
 
 
 # -- derived algebras are valid by construction ---------------------------------

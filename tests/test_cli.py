@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,16 @@ def test_sn_search_budget(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3 and text == ""
     assert err == "error: search budget exceeded (budget = 5)\n"
+
+
+def test_sn_of_a_large_n_stops_before_its_search_is_built(capsys):
+    start = time.perf_counter()
+    code, text = run(["sn", "100"])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+    assert code == 3 and text == ""
+    assert err == \
+        f"error: search budget exceeded (budget = {relations.SN_BUDGET})\n"
 
 
 def test_internal_consistency_error_is_exit_2(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmvdual.search import constraint_maps, file_constraints, walk, with_pair
+from pmvdual.search import (constraint_maps, file_constraints, injective,
+                            walk, with_pair)
 
 
 @st.composite
@@ -33,3 +34,17 @@ def test_filed_search_with_one_more_pair_matches_constraint_maps(order,
         list(constraint_maps(size, t, base + [((p, q), allowed)]))
     # the extra pair leaves the filed search as it was
     assert list(walk(filed)) == list(constraint_maps(size, t, base))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_injective_keeps_the_injective_maps_in_order(data):
+    size = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(1, 5))
+    point = st.integers(0, size - 1)
+    base = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        points = tuple(data.draw(st.lists(point, min_size=1, max_size=3)))
+        base.append((points, data.draw(allowed_sets(t, len(points)))))
+    assert list(walk(injective(file_constraints(size, t, base)))) == [
+        m for m in constraint_maps(size, t, base) if len(set(m)) == size]
