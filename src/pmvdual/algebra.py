@@ -19,8 +19,9 @@ from itertools import product as iproduct
 from operator import getitem
 
 from .chain import OP_NAMES, Chain
-from .errors import (AxiomViolationError, InternalConsistencyError,
-                     MalformedInputError, SizeLimitError, as_int)
+from .errors import (AxiomViolationError, BudgetExceededError,
+                     InternalConsistencyError, MalformedInputError,
+                     SizeLimitError, as_int, require_keys)
 from .search import Filed, _table, injective, walk
 
 Table = tuple[tuple[int, ...], ...]
@@ -58,13 +59,6 @@ class FinAlgebra:
     def __post_init__(self):
         _validate(self)
 
-    # -- basic structure ---------------------------------------------------
-    def op(self, name: str, x: int, y: int) -> int:
-        return getattr(self, name)[x][y]
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.meet[x][y] == x
-
     def table(self, name: str) -> Table:
         return getattr(self, name)
 
@@ -100,6 +94,7 @@ class FinAlgebra:
     def from_json(data: dict) -> "FinAlgebra":
         if not isinstance(data, dict):
             raise MalformedInputError("an algebra must be a JSON object")
+        require_keys(data, (*OP_NAMES, "zero", "one"), "an algebra")
         return algebra_from_tables(
             {name: data[name] for name in OP_NAMES},
             {"zero": data["zero"], "one": data["one"]},
@@ -203,7 +198,11 @@ def _pointwise(factors: list[FinAlgebra], elems: list[tuple[int, ...]],
     """The elements, tuples with one coordinate per factor, as a
     subalgebra of the product with the pointwise operations; element i
     is elems[i].  Raises InternalConsistencyError unless the elements
-    are closed under the operations and contain both constants."""
+    are closed under the operations and contain both constants, and
+    BudgetExceededError, before building anything, when the four tables
+    would have more than DEFAULT_HOM_BUDGET cells."""
+    if 4 * len(elems) ** 2 > DEFAULT_HOM_BUDGET:
+        raise BudgetExceededError(DEFAULT_HOM_BUDGET)
     index = {e: i for i, e in enumerate(elems)}
 
     def tab(name):
@@ -331,9 +330,6 @@ class Hom:
     def surjective(self) -> bool:
         return len(set(self.map)) == self.target.size
 
-    def to_json(self) -> dict:
-        return {"map": list(self.map)}
-
 
 def hom_enumerate(a: FinAlgebra, b: FinAlgebra,
                   budget: int = DEFAULT_HOM_BUDGET) -> list[Hom]:
@@ -442,9 +438,6 @@ class Congruence:
             for x in bl:
                 cls[x] = i
         return tuple(cls)
-
-    def to_json(self) -> dict:
-        return {"blocks": [list(bl) for bl in self.blocks]}
 
 
 def _blocks_from_classes(cls) -> Congruence:

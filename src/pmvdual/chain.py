@@ -57,13 +57,6 @@ class Chain:
         """Threshold at d: 1 if d <= x, else 0."""
         return self.n if self.check(d) <= self.check(x) else 0
 
-    def to_json(self) -> dict:
-        return {"n": self.n}
-
-    @staticmethod
-    def from_json(data: dict) -> "Chain":
-        return Chain(int(data["n"]))
-
 
 @dataclass(frozen=True)
 class Subalgebra:

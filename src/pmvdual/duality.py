@@ -10,12 +10,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
-                      congruences, hom_enumerate, pointwise_algebra)
+from .algebra import (DEFAULT_HOM_BUDGET, Congruence, FinAlgebra, Hom,
+                      _blocks_from_classes, chain_algebra, congruences,
+                      hom_enumerate, pointwise_algebra)
 from .errors import (InternalConsistencyError, MalformedInputError,
-                     NonMemberError, WrongSignatureError, as_int)
-from .relations import (compute_Sn, format_frac, leq_rel, parse_seq_label,
-                        sn_relations, top_seq)
+                     NonMemberError, WrongSignatureError, as_int,
+                     require_keys)
+from .relations import (GoodSeq, compute_Sn, leq_rel, order_failure,
+                        parse_seq_label, sn_relations, top_seq)
 from .search import (constraint_maps, file_constraints, isomorphism, walk,
                      with_pair)
 
@@ -67,10 +69,9 @@ class StructSpace:
                       for key in sorted(self.relations)))
 
     def to_json(self) -> dict:
-        rels = {}
-        for key in relation_keys(self.n):
-            label = "[" + ",".join(format_frac(v, self.n) for v in key) + "]"
-            rels[label] = [list(p) for p in sorted(self.relations[key])]
+        rels = {GoodSeq(self.n, key).label():
+                [list(p) for p in sorted(self.relations[key])]
+                for key in relation_keys(self.n)}
         return {"n": self.n, "size": self.size, "relations": rels}
 
     @staticmethod
@@ -79,6 +80,7 @@ class StructSpace:
                 and isinstance(data.get("relations"), dict)):
             raise MalformedInputError(
                 'a space must be a JSON object whose "relations" is an object')
+        require_keys(data, ("n", "size"), "a space")
         n = as_int(data["n"], "n")
         rels = {}
         for label, pairs in data["relations"].items():
@@ -138,7 +140,8 @@ def alter_ego(n: int) -> StructSpace:
 
 def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
     """All structure-preserving maps x -> y, lexicographically ordered."""
-    return list(constraint_maps(x.size, y.size, _morphism_constraints(x, y)))
+    return list(constraint_maps(x.size, y.size, _morphism_constraints(x, y),
+                                DEFAULT_HOM_BUDGET))
 
 
 def _morphism_constraints(x: StructSpace, y: StructSpace) -> list:
@@ -354,12 +357,7 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
     if not axiom_a:
         witnesses["a"] = sorted(sharp - order)[0]
 
-    failure = next(chain(
-        (("not reflexive", p) for p in range(x.size) if (p, p) not in order),
-        (("not antisymmetric", (u, v)) for (u, v) in order
-         if u != v and (v, u) in order),
-        (("not transitive", (u, v, w)) for (u, v) in order
-         for (v2, w) in order if v2 == v and (u, w) not in order)), None)
+    failure = order_failure(x.size, order)
     axiom_b = failure is None
     if not axiom_b:
         witnesses["b"] = failure
@@ -389,19 +387,15 @@ def congruence_substructure_check(a: FinAlgebra, n: int) -> bool:
     is an order-reversing bijection onto the congruence lattice.
     """
     homs = dual_points(a, n)
-    cons = {tuple(sorted(tuple(sorted(bl)) for bl in th.blocks))
-            for th in congruences(a)}
+    cons = set(congruences(a))
     p = len(homs)
     seen = {}
     for mask in range(1 << p):
         subset = [i for i in range(p) if mask >> i & 1]
-        classes: dict[tuple, list[int]] = {}
-        for t in range(a.size):
-            sig = tuple(homs[i](t) for i in subset)
-            classes.setdefault(sig, []).append(t)
-        blocks = tuple(sorted(tuple(bl) for bl in classes.values()))
-        seen[frozenset(subset)] = blocks
-        if blocks not in cons:
+        theta = _blocks_from_classes(
+            [tuple(homs[i](t) for i in subset) for t in range(a.size)])
+        seen[frozenset(subset)] = theta
+        if theta not in cons:
             return False
     if len(set(seen.values())) != len(cons):
         return False
@@ -414,12 +408,9 @@ def congruence_substructure_check(a: FinAlgebra, n: int) -> bool:
     return True
 
 
-def _refines(blocks_fine, blocks_coarse) -> bool:
-    coarse_of = {}
-    for i, bl in enumerate(blocks_coarse):
-        for t in bl:
-            coarse_of[t] = i
-    return all(len({coarse_of[t] for t in bl}) == 1 for bl in blocks_fine)
+def _refines(fine: Congruence, coarse: Congruence) -> bool:
+    cls = coarse.class_of()
+    return all(len({cls[t] for t in bl}) == 1 for bl in fine.blocks)
 
 
 # -- DOT export ------------------------------------------------------------------
@@ -439,7 +430,7 @@ def struct_space_to_dot(x: StructSpace) -> str:
     for key in sorted(x.relations):
         if key == top_seq(x.n).y:
             continue
-        label = "[" + ",".join(format_frac(v, x.n) for v in key) + "]"
+        label = GoodSeq(x.n, key).label()
         for (u, v) in sorted(x.relations[key]):
             lines.append(f'  p{u} -> p{v} [style=dashed, label="{label}"];')
     lines.append("}")

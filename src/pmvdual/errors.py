@@ -1,4 +1,5 @@
-"""Shared exception types, and the integer check of the input boundary."""
+"""Shared exception types, and the key and integer checks of the input
+boundary."""
 
 
 class InvalidElementError(ValueError):
@@ -56,6 +57,13 @@ def as_int(value, what: str) -> int:
     except (TypeError, ValueError):
         raise MalformedInputError(
             f"{what} must be an integer, got {value!r}") from None
+
+
+def require_keys(data: dict, keys, what: str) -> None:
+    """MalformedInputError naming the first of keys that data lacks."""
+    for key in keys:
+        if key not in data:
+            raise MalformedInputError(f"{what} must have the key {key!r}")
 
 
 class InternalConsistencyError(RuntimeError):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .chain import OP_NAMES, Chain, Subalgebra, chain_subalgebras
 from .errors import (BudgetExceededError, MalformedSequenceError,
@@ -45,9 +45,6 @@ class BinRel:
     def sorted_pairs(self) -> list[Pair]:
         return sorted(self.pairs)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "pairs": [list(p) for p in self.sorted_pairs()]}
-
 
 def lhd_rel(n: int) -> BinRel:
     """The minimal relation: first coordinate 0 or second coordinate 1."""
@@ -62,15 +59,19 @@ def leq_rel(n: int) -> BinRel:
 
 def is_square_subalgebra(r: BinRel) -> bool:
     """Contains both constants and closed under the componentwise operations."""
-    c = Chain(r.n)
-    if (0, 0) not in r.pairs or (r.n, r.n) not in r.pairs:
-        return False
-    for (x1, y1) in r.pairs:
-        for (x2, y2) in r.pairs:
-            for name in OP_NAMES:
-                if (c.op(name, x1, x2), c.op(name, y1, y2)) not in r.pairs:
-                    return False
-    return True
+    return _close_pairs(r.n, r.pairs) == r.pairs
+
+
+def order_failure(size: int, pairs) -> tuple | None:
+    """The first way the pairs fail to be a partial order on
+    {0..size-1}: ("not reflexive", p), ("not antisymmetric", (u, v)) or
+    ("not transitive", (u, v, w)); None for a partial order."""
+    return next(chain(
+        (("not reflexive", p) for p in range(size) if (p, p) not in pairs),
+        (("not antisymmetric", (u, v)) for (u, v) in pairs
+         if u != v and (v, u) in pairs),
+        (("not transitive", (u, v, w)) for (u, v) in pairs
+         for (v2, w) in pairs if v2 == v and (u, w) not in pairs)), None)
 
 
 # -- rectangles ---------------------------------------------------------------
@@ -125,13 +126,6 @@ class GoodSeq:
 
     def label(self) -> str:
         return "[" + ",".join(format_frac(v, self.n) for v in self.y) + "]"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "y": list(self.y)}
-
-    @staticmethod
-    def from_json(data: dict) -> "GoodSeq":
-        return GoodSeq(int(data["n"]), tuple(data["y"]))
 
 
 def format_frac(v: int, n: int) -> str:
@@ -282,15 +276,6 @@ class RelLattice:
     @property
     def top(self) -> GoodSeq:
         return self.elements[-1]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "elements": [list(s.y) for s in self.elements],
-            "labels": [s.label() for s in self.elements],
-            "covers": [list(cs) for cs in self.covers],
-            "meet_irreducible": list(self.meet_irreducible),
-        }
 
 
 def _allowed(n: int, arity: int, test) -> frozenset[tuple[int, ...]]:

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (FinAlgebra, Hom, chain_algebra, hom_enumerate,
-                      pmv_membership, pointwise_algebra, power,
-                      trivial_algebra)
+from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
+                      hom_enumerate, pmv_membership, pointwise_algebra,
+                      power, trivial_algebra)
 from .errors import InternalConsistencyError, NonMemberError
-from .relations import leq_rel
+from .relations import leq_rel, order_failure
 from .search import constraint_maps, isomorphism
 
 Pair = tuple[int, int]
@@ -20,21 +20,13 @@ class Poset:
 
     def __post_init__(self):
         object.__setattr__(self, "leq", frozenset(self.leq))
-        for p in range(self.size):
-            if (p, p) not in self.leq:
-                raise ValueError(f"order not reflexive at {p}")
-        for (u, v) in self.leq:
-            if u != v and (v, u) in self.leq:
-                raise ValueError(f"order not antisymmetric at {(u, v)}")
-            for (v2, w) in self.leq:
-                if v2 == v and (u, w) not in self.leq:
-                    raise ValueError(f"order not transitive at {(u, v, w)}")
+        failure = order_failure(self.size, self.leq)
+        if failure is not None:
+            kind, where = failure
+            raise ValueError(f"order {kind} at {where}")
 
     def le(self, u: int, v: int) -> bool:
         return (u, v) in self.leq
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "leq": [list(p) for p in sorted(self.leq)]}
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
@@ -97,7 +89,8 @@ def _priestley_dual(lat: FinAlgebra) -> tuple[list[Hom], Poset]:
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:
     """Order-preserving maps from the poset into the (n+1)-chain."""
     le = leq_rel(n).pairs
-    return list(constraint_maps(p.size, n + 1, [(pair, le) for pair in p.leq]))
+    return list(constraint_maps(p.size, n + 1, [(pair, le) for pair in p.leq],
+                                DEFAULT_HOM_BUDGET))
 
 
 def priestley_power(n: int, lat: FinAlgebra) -> FinAlgebra:

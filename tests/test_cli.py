@@ -160,6 +160,21 @@ def test_sn_of_a_large_n_stops_before_its_search_is_built(capsys):
         f"error: search budget exceeded (budget = {relations.SN_BUDGET})\n"
 
 
+def test_power_too_large_to_build_stops_before_its_tables(tmp_path,
+                                                         capsys):
+    # over the 32-element Boolean lattice, power 4 has 5^5 = 3125
+    # elements, about 39 million table cells; power 3 builds 1024
+    path = write_json(tmp_path, "b32.json",
+                      power(chain_algebra(1), 5).to_json())
+    start = time.perf_counter()
+    code, text = run(["power", "4", "--lattice", path])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+    assert code == 3 and text == ""
+    assert err.startswith("error: search budget exceeded")
+    assert err.count("\n") == 1
+
+
 def test_internal_consistency_error_is_exit_2(tmp_path, monkeypatch, capsys):
     def fail(algebra, n):
         raise InternalConsistencyError("evaluation map lost a point")
@@ -178,6 +193,77 @@ def test_export(tmp_path):
     path = write_json(tmp_path, "x.json", x.to_json())
     code, text = run(["export", "2", "--space", path])
     assert code == 0 and text.startswith("digraph")
+
+
+SEPARATION_OUT = """\
+{
+  "member": false,
+  "witness": [
+    "separation",
+    0,
+    1
+  ],
+  "x2_axioms": {
+    "a": true,
+    "b": false,
+    "c": false
+  }
+}
+"""
+
+RELATION_OUT = """\
+{
+  "member": false,
+  "witness": [
+    "relation",
+    [
+      1
+    ],
+    [
+      0,
+      0
+    ]
+  ],
+  "x2_axioms": {
+    "a": true,
+    "b": false,
+    "c": false
+  }
+}
+"""
+
+EXPORT_OUT = """\
+digraph X {
+  rankdir=BT;
+  p0 [label="0"];
+  p1 [label="1"];
+  p2 [label="2"];
+  p0 -> p1;
+  p1 -> p2;
+  p0 -> p2 [style=dashed, label="[2/3,1]"];
+  p0 -> p2 [style=dashed, label="[1,1]"];
+}
+"""
+
+
+@pytest.mark.parametrize("argv, payload, code, expected", [
+    (["membership", "2"],
+     {"n": 2, "size": 2, "relations": {
+         "[1]": [], "[1/2]": [[0, 0], [0, 1], [1, 0], [1, 1]]}},
+     1, SEPARATION_OUT),
+    (["membership", "2"],
+     {"n": 2, "size": 2, "relations": {"[1]": [], "[1/2]": []}},
+     1, RELATION_OUT),
+    (["export", "3"],
+     {"n": 3, "size": 3, "relations": {
+         "[1,1]": [[0, 2]], "[2/3,1]": [[0, 2]],
+         "[1/3,2/3]": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]}},
+     0, EXPORT_OUT),
+], ids=["separation-witness", "relation-witness", "export-dashed-labels"])
+def test_golden_output(tmp_path, argv, payload, code, expected):
+    """The exact stdout of the witness and DOT writers."""
+    path = write_json(tmp_path, "x.json", payload)
+    assert run(argv + ["--space", path]) == (code, expected)
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -199,22 +285,27 @@ SPACE_N2 = StructSpace(2, 1, {(2,): frozenset(),
 ALGEBRA_PL2 = chain_algebra(2).to_json()
 
 
-@pytest.mark.parametrize("verb, n, flag, payload", [
-    ("membership", "2", "--space", {**SPACE_N2, "relations": []}),
-    ("membership", "2", "--space", {**SPACE_N2, "relations": 5}),
+@pytest.mark.parametrize("verb, n, flag, payload, message", [
+    ("membership", "2", "--space", {**SPACE_N2, "relations": []}, ""),
+    ("membership", "2", "--space", {**SPACE_N2, "relations": 5}, ""),
     ("membership", "2", "--space",
-     {**SPACE_N2, "relations": {"[1]": [[0]], "[1/2]": []}}),
-    ("membership", "2", "--space", [SPACE_N2]),
-    ("verify-duality", "2", "--algebra", {**ALGEBRA_PL2, "meet": 5}),
-    ("verify-duality", "2", "--algebra", [ALGEBRA_PL2]),
-    ("export", "3", "--space", SPACE_N2),
-    ("classify-ac-ec", "2", "--algebra", chain_algebra(3).to_json()),
-    ("sn", "0", None, None),
+     {**SPACE_N2, "relations": {"[1]": [[0]], "[1/2]": []}}, ""),
+    ("membership", "2", "--space", [SPACE_N2], ""),
+    ("membership", "2", "--space",
+     {key: v for key, v in SPACE_N2.items() if key != "size"},
+     "a space must have the key 'size'"),
+    ("verify-duality", "2", "--algebra", {**ALGEBRA_PL2, "meet": 5}, ""),
+    ("verify-duality", "2", "--algebra", [ALGEBRA_PL2], ""),
+    ("verify-duality", "2", "--algebra", SPACE_N2,
+     "an algebra must have the key 'meet'"),
+    ("export", "3", "--space", SPACE_N2, ""),
+    ("classify-ac-ec", "2", "--algebra", chain_algebra(3).to_json(), ""),
+    ("sn", "0", None, None, "n must be >= 1"),
 ], ids=["relations-list", "relations-number", "one-element-pair",
-        "space-array", "meet-number", "algebra-array", "export-wrong-n",
-        "classify-non-member", "sn-0"])
+        "space-array", "space-without-size", "meet-number", "algebra-array",
+        "space-as-algebra", "export-wrong-n", "classify-non-member", "sn-0"])
 def test_bad_input_is_an_input_error(tmp_path, capsys, verb, n, flag,
-                                     payload):
+                                     payload, message):
     argv = [verb, n]
     if flag:
         argv += [flag, write_json(tmp_path, "in.json", payload)]
@@ -222,8 +313,7 @@ def test_bad_input_is_an_input_error(tmp_path, capsys, verb, n, flag,
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if verb == "sn":
-        assert "n must be >= 1" in err
+    assert message in err
 
 
 def test_json_roundtrip_through_the_cli(tmp_path):

@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import pytest
 
 from pmvdual.algebra import chain_algebra, power, trivial_algebra
-from pmvdual.closure import (ClosureReport, enumerate_xn_structures,
-                             fep_star_check, fhp_star_check,
-                             is_algebraically_closed, is_existentially_closed)
+from pmvdual.closure import (ClosureReport, _labeled_posets,
+                             enumerate_xn_structures, fep_star_check,
+                             fhp_star_check, is_algebraically_closed,
+                             is_existentially_closed)
 from pmvdual.duality import StructSpace, dual_space, empty_space
 from pmvdual.errors import NonMemberError
+from pmvdual.relations import order_failure
 from pmvdual.skeleton import boolean_lattice, priestley_power
 
 from conftest import chain_lattice
@@ -14,6 +18,21 @@ from conftest import chain_lattice
 def two_space(sharp, order, size):
     return StructSpace(2, size, {(2,): frozenset(sharp),
                                  (1,): frozenset(order)})
+
+
+@pytest.mark.parametrize("size, count", [(0, 1), (1, 1), (2, 3), (3, 19),
+                                         (4, 219)])
+def test_order_failure_accepts_exactly_the_labelled_posets(size, count):
+    """Over every relation that contains the diagonal (4096 at size 4),
+    the shared order check agrees with the enumeration's own filter."""
+    loops = frozenset((p, p) for p in range(size))
+    offdiag = [(u, v) for u in range(size) for v in range(size) if u != v]
+    orders = {loops | frozenset(extra) for r in range(len(offdiag) + 1)
+              for extra in combinations(offdiag, r)
+              if order_failure(size, loops | frozenset(extra)) is None}
+    posets = _labeled_posets(size)
+    assert len(posets) == count
+    assert orders == set(posets)
 
 
 def test_enumeration_counts():
