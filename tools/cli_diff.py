@@ -136,9 +136,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         todo = runs(*fixtures(dirs[0] / "src", Path(tmp)))
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = [pool.map(one_run, [d] * len(todo), todo)
+            results = [list(pool.map(one_run, [d] * len(todo), todo))
                        for d in dirs]
-            results = [list(r) for r in results]
     differ = 0
     for call, old, new in zip(todo, *results):
         parts = [part for part, a, b in
