@@ -115,6 +115,8 @@ def algebra_from_tables(tables: dict, consts: dict, label: str = "") -> FinAlgeb
 
 
 def _validate(a: FinAlgebra) -> None:
+    if a.size ** 3 > DEFAULT_HOM_BUDGET:     # the triples checked below
+        raise BudgetExceededError(DEFAULT_HOM_BUDGET)
     m, j = a.meet, a.join
     rng = range(a.size)
     for name in OP_NAMES:

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import compress, permutations
 
 from .algebra import FinAlgebra
 from .duality import (StructSpace, _space_of_points, dual_points,
-                      relation_keys, struct_morphism_maps, xn_membership)
+                      struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
-from .relations import top_seq
+from .relations import compute_Sn, leq_rel, top_seq
+from .search import constraint_maps
 
 Pair = tuple[int, int]
 
@@ -36,8 +37,6 @@ class ClosureReport:
 def _jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, StructSpace):
-        return value.to_json()
     if isinstance(value, (tuple, list, frozenset)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -48,79 +47,81 @@ def _jsonable(value):
 # -- test-structure generation ---------------------------------------------------
 
 def _labeled_posets(size: int) -> list[frozenset[Pair]]:
-    loops = frozenset((p, p) for p in range(size))
+    """Every partial order on {0..size-1}, in the order of its strict pairs
+    as a combination (itertools.combinations) of the distinct pairs.  A
+    monotone map of an order on the other points into the 3-chain puts
+    the last point above those sent to 0 and below those sent to 2."""
+    if size == 0:
+        return [frozenset()]
+    p, out = size - 1, []
+    for rel in _labeled_posets(p):
+        for place in constraint_maps(p, 3, [(pair, leq_rel(2).pairs)
+                                            for pair in rel]):
+            if all((u, v) in rel for u in range(p) for v in range(p)
+                   if place[u] < 1 < place[v]):
+                out.append(rel | {(p, p)}
+                           | {(u, p) for u in range(p) if place[u] == 0}
+                           | {(p, v) for v in range(p) if place[v] == 2})
     offdiag = [(u, v) for u in range(size) for v in range(size) if u != v]
-    out = []
-    for r in range(len(offdiag) + 1):
-        for extra in combinations(offdiag, r):
-            rel = loops | frozenset(extra)
-            if any((v, u) in rel for (u, v) in extra):
-                continue
-            if any((u, w) not in rel
-                   for (u, v) in rel for (v2, w) in rel if v2 == v):
-                continue
-            out.append(rel)
-    return out
-
-
-def _space_permuted(x: StructSpace, perm: tuple[int, ...]) -> tuple:
-    rels = tuple(
-        (key, tuple(sorted((perm[u], perm[v]) for (u, v) in x.relations[key])))
-        for key in sorted(x.relations))
-    return (x.size, rels)
-
-
-def _canonical(x: StructSpace) -> tuple:
-    from itertools import permutations
-    return min(_space_permuted(x, perm)
-               for perm in permutations(range(x.size))) if x.size else (0, ())
+    return sorted(out, key=lambda rel: (len(rel), [
+        i for i, pair in enumerate(offdiag) if pair in rel]))
 
 
 @lru_cache(maxsize=None)
 def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
-    """All members of the dual category with at most max_size points,
-    deduplicated up to isomorphism; deterministic order."""
-    keys = relation_keys(n)
-    top = top_seq(n).y
-    other_keys = [k for k in keys if k != top]
+    """All members of the dual category with at most max_size points, the
+    first of each isomorphism class among the candidates: a labelled order
+    and a subset of it for each other relation, monotone in the relation
+    lattice.  Membership does not change under relabelling, so each class
+    is decided once: an order isomorphic to an earlier one is skipped, and
+    two candidates on one order are isomorphic when an automorphism of it
+    maps one to the other."""
+    lat = compute_Sn(n)
+    # the relations in candidate order: the order first
+    ranks = sorted(range(len(lat.elements)),
+                   key=lambda i: lat.elements[i] != top_seq(n))
     found: list[StructSpace] = []
-    seen_forms: set[tuple] = set()
+    seen_orders: set[frozenset[Pair]] = set()
     for size in range(max_size + 1):
+        perms = list(permutations(range(size)))
         for order in _labeled_posets(size):
-            order_list = sorted(order)
-            candidates = [{top: frozenset(order)}]
-            for key in other_keys:
-                extended = []
-                for assign in candidates:
-                    for r in range(len(order_list) + 1):
-                        for sub in combinations(order_list, r):
-                            new = dict(assign)
-                            new[key] = frozenset(sub)
-                            extended.append(new)
-                candidates = extended
-            for assign in candidates:
-                if not _monotone_assignment(n, assign):
-                    continue
-                space = StructSpace(n, size, assign)
-                if not xn_membership(space, n).member:
-                    continue
-                form = _canonical(space)
-                if form in seen_forms:
-                    continue
-                seen_forms.add(form)
-                found.append(space)
+            if order in seen_orders:
+                continue
+            images = [frozenset((m[u], m[v]) for (u, v) in order)
+                      for m in perms]
+            seen_orders.update(images)
+            pairs, w = sorted(order), len(order)
+            # the automorphisms, as permutations of the search points
+            autos = [[t * w + pairs.index((m[u], m[v]))
+                      for t in range(len(ranks)) for (u, v) in pairs]
+                     for m, image in zip(perms, images) if image == order]
+            forms: set[tuple[int, ...]] = set()
+            for bits in _monotone_subsets(lat, ranks, w):
+                form = min(tuple(map(bits.__getitem__, a)) for a in autos)
+                if form not in forms:
+                    forms.add(form)
+                    space = StructSpace(n, size, {
+                        lat.elements[k].y: frozenset(
+                            compress(pairs, bits[t * w:(t + 1) * w]))
+                        for t, k in enumerate(ranks)})
+                    if xn_membership(space, n).member:
+                        found.append(space)
     return tuple(found)
 
 
-def _monotone_assignment(n: int, assign: dict) -> bool:
-    from .relations import compute_Sn
-    lat = compute_Sn(n)
-    elems = [s.y for s in lat.elements]
-    for i, ki in enumerate(elems):
-        for j, kj in enumerate(elems):
-            if i != j and lat.leq(i, j) and not assign[ki] <= assign[kj]:
-                return False
-    return True
+def _monotone_subsets(lat, ranks: list[int], width: int) -> list[tuple]:
+    """Subsets of range(width) for the elements of lat in the order ranks,
+    the first the whole range and each inside those above it, as maps whose
+    point t * width + i is 1 when i lies in the t-th subset; sorted into the
+    product order of itertools.combinations."""
+    cells = [range(t * width, (t + 1) * width) for t in range(len(ranks))]
+    maps = constraint_maps(len(ranks) * width, 2, [
+        ((c,), frozenset({(1,)})) for c in cells[0]] + [
+        ((s * width + i, t * width + i), leq_rel(1).pairs)
+        for s, rs in enumerate(ranks) for t, rt in enumerate(ranks)
+        if s != t and lat.leq(rs, rt) for i in range(width)])
+    return sorted(maps, key=lambda m: [
+        (sum(m[c] for c in cs), [-m[c] for c in cs]) for cs in cells])
 
 
 # -- the dual closure properties ---------------------------------------------------

@@ -20,10 +20,10 @@ Pair = tuple[int, int]
 ORACLE_MAX_N = 6
 
 # Budget of the good-sequence search, in candidate cells of its allowed
-# sets and then nodes: n = 14 takes 6 062 cells and 472 269 nodes, n = 15
-# takes 1 455 651 nodes, so sn 14 completes and sn 15 stops; past
-# n = 66 the cells alone exceed it and nothing is built.
-SN_BUDGET = 600_000
+# sets and then nodes, partial and complete maps: n = 14 takes 6 062
+# cells and 603 636 nodes, n = 15 takes 7 410 and 1 846 201, so `sn 14`
+# completes and `sn 15` stops; past n = 78 the cells alone exceed it.
+SN_BUDGET = 1_000_000
 
 
 # -- binary relations on the chain -------------------------------------------
@@ -41,9 +41,6 @@ class BinRel:
 
     def converse(self) -> "BinRel":
         return BinRel(self.n, frozenset((y, x) for (x, y) in self.pairs))
-
-    def sorted_pairs(self) -> list[Pair]:
-        return sorted(self.pairs)
 
 
 def lhd_rel(n: int) -> BinRel:
@@ -418,7 +415,7 @@ def square_subalgebras_oracle(n: int) -> list[BinRel]:
                 seen.add(bigger)
                 frontier.append(bigger)
     rels = [BinRel(n, pairs) for pairs in seen]
-    rels.sort(key=lambda r: (len(r.pairs), r.sorted_pairs()))
+    rels.sort(key=lambda r: (len(r.pairs), sorted(r.pairs)))
     return rels
 
 

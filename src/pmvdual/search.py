@@ -137,7 +137,7 @@ def with_pair(filed: Filed, p: int, q: int,
 def walk(filed: Filed, budget: int | None = None) -> Iterator[Points]:
     """The maps that meet the filed constraints, in lexicographic order.
     The walk keeps an explicit stack, so the cost of a map does not grow
-    with the number of points.  Every partial map put on the stack is
+    with the number of points.  Every map put on the stack or yielded is
     one node; past budget nodes the walk raises BudgetExceededError."""
     size, t, own, pairs, triples, decoded = filed
     if 0 in own:            # a point without an image: no map at all
@@ -160,13 +160,13 @@ def walk(filed: Filed, budget: int | None = None) -> Iterator[Points]:
         if images is None:
             images = decoded[mask] = tuple(
                 b for b in range(t) if mask >> b & 1)
+        nodes += len(images)
+        if nodes > limit:
+            raise BudgetExceededError(budget)
         if p == size - 1:
             for b in images:
                 yield prefix + (b,)
         else:
-            nodes += len(images)
-            if nodes > limit:
-                raise BudgetExceededError(budget)
             stack.extend([prefix + (b,) for b in reversed(images)])
 
 

@@ -160,6 +160,24 @@ def test_sn_of_a_large_n_stops_before_its_search_is_built(capsys):
         f"error: search budget exceeded (budget = {relations.SN_BUDGET})\n"
 
 
+def test_an_input_too_large_to_validate_stops_before_its_check(tmp_path,
+                                                               capsys):
+    # the 256-element Boolean algebra has 256^3 = 16.8 million triples to
+    # validate, past DEFAULT_HOM_BUDGET; the 64-element one has 262 144
+    big = write_json(tmp_path, "b256.json",
+                     power(chain_algebra(1), 8).to_json())
+    start = time.perf_counter()
+    code, text = run(["skeleton", "--algebra", big])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+    assert code == 3 and text == ""
+    assert err.startswith("error: search budget exceeded")
+    assert err.count("\n") == 1
+    small = write_json(tmp_path, "b64.json",
+                       power(chain_algebra(1), 6).to_json())
+    assert run(["skeleton", "--algebra", small])[0] == 0
+
+
 def test_power_too_large_to_build_stops_before_its_tables(tmp_path,
                                                          capsys):
     # over the 32-element Boolean lattice, power 4 has 5^5 = 3125

@@ -1,15 +1,17 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmvdual.algebra import chain_algebra, power, trivial_algebra
 from pmvdual.closure import (ClosureReport, _labeled_posets,
                              enumerate_xn_structures, fep_star_check,
                              fhp_star_check, is_algebraically_closed,
                              is_existentially_closed)
-from pmvdual.duality import StructSpace, dual_space, empty_space
+from pmvdual.duality import (StructSpace, dual_space, empty_space,
+                             relation_keys, xn_membership)
 from pmvdual.errors import NonMemberError
-from pmvdual.relations import order_failure
+from pmvdual.relations import compute_Sn, order_failure, top_seq
 from pmvdual.skeleton import boolean_lattice, priestley_power
 
 from conftest import chain_lattice
@@ -20,19 +22,90 @@ def two_space(sharp, order, size):
                                  (1,): frozenset(order)})
 
 
+def brute_force_posets(size):
+    """Every relation that contains the diagonal and passes the shared
+    order check, as itertools.combinations lists the strict pairs."""
+    loops = frozenset((p, p) for p in range(size))
+    offdiag = [(u, v) for u in range(size) for v in range(size) if u != v]
+    return [loops | frozenset(extra) for r in range(len(offdiag) + 1)
+            for extra in combinations(offdiag, r)
+            if order_failure(size, loops | frozenset(extra)) is None]
+
+
 @pytest.mark.parametrize("size, count", [(0, 1), (1, 1), (2, 3), (3, 19),
                                          (4, 219)])
 def test_order_failure_accepts_exactly_the_labelled_posets(size, count):
     """Over every relation that contains the diagonal (4096 at size 4),
-    the shared order check agrees with the enumeration's own filter."""
-    loops = frozenset((p, p) for p in range(size))
-    offdiag = [(u, v) for u in range(size) for v in range(size) if u != v]
-    orders = {loops | frozenset(extra) for r in range(len(offdiag) + 1)
-              for extra in combinations(offdiag, r)
-              if order_failure(size, loops | frozenset(extra)) is None}
+    the shared order check agrees with the enumeration's own list, in
+    the same order."""
     posets = _labeled_posets(size)
     assert len(posets) == count
-    assert orders == set(posets)
+    assert posets == brute_force_posets(size)
+
+
+def relabelled(x, perm):
+    return StructSpace(x.n, x.size, {
+        key: frozenset((perm[u], perm[v]) for (u, v) in pairs)
+        for key, pairs in x.relations.items()})
+
+
+def oracle_enumeration(n, max_size):
+    """The enumeration decided on every labelled candidate: membership
+    first, then removal of isomorphic copies over all permutations."""
+    lat = compute_Sn(n)
+    keys = relation_keys(n)
+    top = top_seq(n).y
+    others = [k for k in keys if k != top]
+    found, seen = [], set()
+    for size in range(max_size + 1):
+        for order in brute_force_posets(size):
+            pairs = sorted(order)
+            subsets = [frozenset(c) for r in range(len(pairs) + 1)
+                       for c in combinations(pairs, r)]
+            for choice in product(subsets, repeat=len(others)):
+                assign = {top: order, **dict(zip(others, choice))}
+                if any(lat.leq(i, j) and not assign[keys[i]] <= assign[keys[j]]
+                       for i in range(len(keys)) for j in range(len(keys))):
+                    continue
+                space = StructSpace(n, size, assign)
+                if not xn_membership(space, n).member:
+                    continue
+                form = min(relabelled(space, perm).canonical_form()
+                           for perm in permutations(range(size)))
+                if form not in seen:
+                    seen.add(form)
+                    found.append(space)
+    return found
+
+
+@pytest.mark.parametrize("n, max_size", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                         (2, 1), (2, 2), (2, 3), (3, 1),
+                                         (3, 2), (4, 1)])
+def test_enumeration_matches_the_oracle_in_order(n, max_size):
+    assert [x.canonical_form() for x in enumerate_xn_structures(n, max_size)
+            ] == [x.canonical_form() for x in oracle_enumeration(n, max_size)]
+
+
+@st.composite
+def spaces(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(enumerate_xn_structures(n, 2)))
+    else:
+        size = draw(st.integers(0, 4))
+        pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        x = StructSpace(n, size, {key: draw(st.frozensets(pair)) if size
+                                  else frozenset()
+                                  for key in relation_keys(n)})
+    return x, draw(st.permutations(range(x.size)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(spaces())
+def test_membership_does_not_change_under_relabelling(case):
+    x, perm = case
+    assert xn_membership(relabelled(x, perm), x.n).member == \
+        xn_membership(x, x.n).member
 
 
 def test_enumeration_counts():
@@ -40,10 +113,14 @@ def test_enumeration_counts():
     assert len(enumerate_xn_structures(2, 1)) == 3
     assert len(enumerate_xn_structures(2, 2)) == 11
     assert len(enumerate_xn_structures(2, 3)) == 57
+    # at n = 1 the members are the posets: OEIS A000112, summed
+    assert [len(enumerate_xn_structures(1, k)) for k in (3, 4, 5)] == \
+        [9, 25, 88]
+    assert [len(enumerate_xn_structures(3, k)) for k in (2, 3)] == [12, 78]
+    assert [len(enumerate_xn_structures(4, k)) for k in (1, 2)] == [4, 30]
 
 
 def test_enumeration_members_pass_membership():
-    from pmvdual.duality import xn_membership
     for x in enumerate_xn_structures(2, 2):
         assert xn_membership(x, 2).member
 

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmvdual.errors import BudgetExceededError
 from pmvdual.search import (constraint_maps, file_constraints, injective,
                             walk, with_pair)
 
@@ -48,3 +49,11 @@ def test_injective_keeps_the_injective_maps_in_order(data):
         base.append((points, data.draw(allowed_sets(t, len(points)))))
     assert list(walk(injective(file_constraints(size, t, base)))) == [
         m for m in constraint_maps(size, t, base) if len(set(m)) == size]
+
+
+def test_the_budget_counts_the_complete_maps_too():
+    # an 8-point antichain has 5^8 = 390 625 maps into the 5-chain, but
+    # fewer than 100 000 partial maps
+    with pytest.raises(BudgetExceededError):
+        list(constraint_maps(8, 5, [], 100_000))
+    assert len(list(constraint_maps(6, 5, [], 100_000))) == 5 ** 6
