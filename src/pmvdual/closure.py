@@ -48,9 +48,9 @@ def _jsonable(value):
 
 def _labeled_posets(size: int) -> list[frozenset[Pair]]:
     """Every partial order on {0..size-1}, in the order of its strict pairs
-    as a combination (itertools.combinations) of the distinct pairs.  A
-    monotone map of an order on the other points into the 3-chain puts
-    the last point above those sent to 0 and below those sent to 2."""
+    as a combination (itertools.combinations) of the distinct pairs.  The
+    last point goes above the points that a monotone map of an order on the
+    others into the 3-chain sends to 0, below those sent to 2, if it can."""
     if size == 0:
         return [frozenset()]
     p, out = size - 1, []
@@ -110,10 +110,10 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
 
 
 def _monotone_subsets(lat, ranks: list[int], width: int) -> list[tuple]:
-    """Subsets of range(width) for the elements of lat in the order ranks,
-    the first the whole range and each inside those above it, as maps whose
-    point t * width + i is 1 when i lies in the t-th subset; sorted into the
-    product order of itertools.combinations."""
+    """The subsets of range(width) for the elements of lat in the order
+    ranks, the first whole, each inside those above it: maps whose point
+    t * width + i is 1 when i is in subset t, in combinations product order
+    (fewest first; at a tie, the one holding the first index that differs)."""
     cells = [range(t * width, (t + 1) * width) for t in range(len(ranks))]
     maps = constraint_maps(len(ranks) * width, 2, [
         ((c,), frozenset({(1,)})) for c in cells[0]] + [
