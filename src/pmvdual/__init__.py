@@ -17,7 +17,7 @@ from .closure import (enumerate_xn_structures, fep_star_check,
                       is_existentially_closed)
 from .duality import (StructMorphism, StructSpace, alter_ego, dual_algebra,
                       dual_space, evaluation_e, evaluation_eps,
-                      struct_morphisms, x2_axiom_check, xn_membership)
+                      x2_axiom_check, xn_membership)
 from .errors import (AxiomViolationError, BudgetExceededError,
                      InvalidElementError, MalformedSequenceError,
                      NonMemberError, NotASubalgebraError, SizeLimitError,
@@ -44,6 +44,6 @@ __all__ = [
     "is_simple", "meet_irreducibles", "pmv_membership", "power",
     "priestley_dual", "priestley_power", "product", "rel_to_seq",
     "seq_to_rel", "skeleton", "skeleton_unit", "sn_relations",
-    "square_subalgebras_oracle", "struct_morphisms", "subalgebra_generated",
-    "trivial_algebra", "x2_axiom_check", "xn_membership",
+    "square_subalgebras_oracle", "subalgebra_generated", "trivial_algebra",
+    "x2_axiom_check", "xn_membership",
 ]

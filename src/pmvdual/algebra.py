@@ -32,7 +32,9 @@ PARTITION_SCAN_MAX = 12
 
 def _as_table(rows, size: int) -> Table:
     try:
-        table = tuple(tuple(int(v) for v in row) for row in rows)
+        table = tuple(tuple(row) for row in rows)
+        if any(type(v) is not int for row in table for v in row):
+            raise TypeError
     except TypeError:
         raise MalformedInputError(
             "an operation table must be a list of rows of integers") from None

@@ -13,7 +13,8 @@ from .algebra import FinAlgebra
 from .closure import is_algebraically_closed, is_existentially_closed
 from .duality import (StructSpace, _expect_n, evaluation_e,
                       struct_space_to_dot, x2_axiom_check, xn_membership)
-from .errors import BudgetExceededError, InternalConsistencyError
+from .errors import (BudgetExceededError, InternalConsistencyError,
+                     MalformedInputError)
 from .relations import (adjudicate_n4_discrepancy, candidate_sequences,
                         compute_Sn, is_good_sequence, lhd_rel,
                         meet_irreducibles, rel_lattice_to_dot, rel_to_seq,
@@ -31,14 +32,12 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
+        raise MalformedInputError(f"no such file: {path}")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise MalformedInputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}")
-
-
-class InputError(Exception):
-    pass
 
 
 def _emit(out, payload) -> None:
@@ -203,8 +202,7 @@ def main(argv=None, out=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, InternalConsistencyError, ValueError,
-            KeyError) as exc:
+    except (InternalConsistencyError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

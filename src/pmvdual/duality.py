@@ -18,8 +18,8 @@ from .errors import (InternalConsistencyError, MalformedInputError,
                      require_keys)
 from .relations import (GoodSeq, compute_Sn, leq_rel, order_failure,
                         parse_seq_label, sn_relations, top_seq)
-from .search import (constraint_maps, file_constraints, isomorphism, walk,
-                     with_pair)
+from .search import (Filed, constraint_maps, file_constraints, isomorphism,
+                     walk, with_pair)
 
 Pair = tuple[int, int]
 
@@ -91,7 +91,10 @@ class StructSpace:
                     f"relation {label} must be a list of [x, y] pairs")
             rels[key] = frozenset((as_int(u, "a point"), as_int(v, "a point"))
                                   for u, v in pairs)
-        return StructSpace(n, as_int(data["size"], "size"), rels)
+        size = as_int(data["size"], "size")
+        if size < 0:
+            raise MalformedInputError(f"size must be >= 0, got {size}")
+        return StructSpace(n, size, rels)
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,6 @@ def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]
 def _morphism_constraints(x: StructSpace, y: StructSpace) -> list:
     return [(pair, y.relations[key])
             for key, pairs in x.relations.items() for pair in pairs]
-
-
-def struct_morphisms(x: StructSpace, y: StructSpace) -> list[StructMorphism]:
-    return [StructMorphism(x, y, m) for m in struct_morphism_maps(x, y)]
 
 
 def spaces_isomorphic(x: StructSpace, y: StructSpace) -> bool:
@@ -210,16 +209,19 @@ def evaluation_e(a: FinAlgebra, n: int) -> EvalEReport:
     x = _space_of_points(homs, n)
     elems = dual_algebra_elements(x)
     ealg = _dual_algebra(x, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    images = []
-    for t in range(a.size):
-        val = tuple(u(t) for u in homs)
-        if val not in index:
-            raise InternalConsistencyError(
-                "evaluation image is not a morphism")
-        images.append(index[val])
-    hom = Hom(a, ealg, tuple(images))
+    images = _positions([tuple(u(t) for u in homs) for t in range(a.size)],
+                       elems, "evaluation image is not a morphism")
+    hom = Hom(a, ealg, images)
     return EvalEReport(hom, hom.injective, hom.surjective)
+
+
+def _positions(values: list, listed: list, missing: str) -> tuple[int, ...]:
+    """Each value's index in listed; InternalConsistencyError(missing)."""
+    index = {v: i for i, v in enumerate(listed)}
+    try:
+        return tuple(map(index.__getitem__, values))
+    except KeyError:
+        raise InternalConsistencyError(missing) from None
 
 
 @dataclass(frozen=True)
@@ -246,14 +248,9 @@ def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
     ealg = _dual_algebra(x, elems)
     ypoints = dual_points(ealg, n)
     y = _space_of_points(ypoints, n)
-    index = {p.map: i for i, p in enumerate(ypoints)}
-    images = []
-    for pt in range(x.size):
-        val = tuple(e[pt] for e in elems)
-        if val not in index:
-            raise InternalConsistencyError(
-                "point evaluation is not a hom of the dual algebra")
-        images.append(index[val])
+    images = _positions([tuple(e[pt] for e in elems) for pt in range(x.size)],
+                       [p.map for p in ypoints],
+                       "point evaluation is not a hom of the dual algebra")
     points = range(x.size)
     pulled = {key: {(u, v) for u in points for v in points
                     if (images[u], images[v]) in y.relations[key]}
@@ -262,7 +259,7 @@ def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
     reflecting = all(pulled[key] <= x.relations[key] for key in pulled)
     injective = len(set(images)) == x.size
     surjective = set(images) == set(range(y.size))
-    return EvalEpsReport(tuple(images), injective, surjective,
+    return EvalEpsReport(images, injective, surjective,
                          preserving, reflecting)
 
 
@@ -292,18 +289,23 @@ def _expect_n(x: StructSpace, n: int) -> None:
 def _separation(x: StructSpace) -> MembershipReport:
     """The first pair p < q that no morphism into the alter ego
     separates, else, key by key, the first absent pair that every
-    morphism sends into the relation.  A pair tries the witnesses found
-    so far, then asks the kernel for the first morphism whose images of
-    the pair are distinct, or outside the relation."""
+    morphism sends into the relation."""
     ae, (distinct, outside) = alter_ego(x.n), _avoided(x.n)
     filed = file_constraints(x.size, ae.size, _morphism_constraints(x, ae))
     points = range(x.size)
-    checks = chain(
+    witness = _first_unmet(filed, chain(
         ((("separation", p, q), p, q, distinct)
          for p in points for q in points if p < q),
         ((("relation", key, (p, q)), p, q, outside[key])
          for key in sorted(x.relations) for p in points for q in points
-         if (p, q) not in x.relations[key]))
+         if (p, q) not in x.relations[key])))
+    return MembershipReport(witness is None, witness)
+
+
+def _first_unmet(filed: Filed, checks) -> tuple | None:
+    """The witness of the first check (witness, p, q, avoid) that no map
+    of filed sends (p, q) into avoid, else None.  A check tries the maps
+    found so far, then asks the kernel for one."""
     found: list[tuple[int, ...]] = []
     for witness, p, q, avoid in checks:
         for m in found:
@@ -313,9 +315,9 @@ def _separation(x: StructSpace) -> MembershipReport:
             m = next(walk(with_pair(filed, p, q, avoid), DEFAULT_HOM_BUDGET),
                      None)
             if m is None:
-                return MembershipReport(False, witness)
+                return witness
             found.append(m)
-    return MembershipReport(True)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -364,16 +366,18 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
 
     axiom_c = axiom_b
     if axiom_b:
-        # the upsets are the monotone maps into the two-element chain
-        le = leq_rel(1).pairs
-        ups = [frozenset(p for p in range(x.size) if m[p]) for m in
-               constraint_maps(x.size, 2, [(pair, le) for pair in order])]
-        downs = [frozenset(range(x.size)) - u for u in ups]
-        for (p, q) in sorted(order - sharp):
-            if not any(all(z in d or z2 in u for (z, z2) in sharp)
-                       for u in ups if q not in u for d in downs if p not in d):
-                axiom_c, witnesses["c"] = False, (p, q)
-                break
+        # points i and size + i say that i is in U and in D; a sharp
+        # (z, z2) has z in D or z2 in U; (p, q) needs q not in U, p not in D
+        size, le, neither = x.size, leq_rel(1).pairs, frozenset({(0, 0)})
+        either = frozenset({(0, 1), (1, 0), (1, 1)})
+        filed = file_constraints(2 * size, 2, chain(
+            (((u, v), le) for (u, v) in order),
+            (((size + v, size + u), le) for (u, v) in order),
+            (((size + z, z2), either) for (z, z2) in sharp)))
+        witness = _first_unmet(filed, (((p, q), q, size + p, neither)
+                                       for (p, q) in sorted(order - sharp)))
+        if witness is not None:
+            axiom_c, witnesses["c"] = False, witness
     return X2Report(axiom_a, axiom_b, axiom_c, witnesses)
 
 

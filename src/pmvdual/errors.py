@@ -51,12 +51,12 @@ class MalformedInputError(ValueError):
 
 
 def as_int(value, what: str) -> int:
-    """int(value), or MalformedInputError naming what value should be."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    """value if it is a JSON integer (not a boolean, not a fraction),
+    else MalformedInputError naming what value should be."""
+    if type(value) is not int:
         raise MalformedInputError(
-            f"{what} must be an integer, got {value!r}") from None
+            f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def require_keys(data: dict, keys, what: str) -> None:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
                       hom_enumerate, pmv_membership, pointwise_algebra,
                       power, trivial_algebra)
+from .duality import _positions, _space_of_points, dual_points
 from .errors import InternalConsistencyError, NonMemberError
 from .relations import leq_rel, order_failure
 from .search import constraint_maps, isomorphism
@@ -77,13 +78,11 @@ def priestley_dual(lat: FinAlgebra) -> Poset:
 
 
 def _priestley_dual(lat: FinAlgebra) -> tuple[list[Hom], Poset]:
+    """The dual space D(lat) at n = 1, whose one relation is the order."""
     if not is_dist_lattice_algebra(lat):
         raise ValueError("priestley_dual expects an idempotent algebra")
-    homs = hom_enumerate(lat, chain_algebra(1))
-    size = len(homs)
-    leq = frozenset((i, j) for i in range(size) for j in range(size)
-                    if all(homs[i](x) <= homs[j](x) for x in range(lat.size)))
-    return homs, Poset(size, leq)
+    homs = dual_points(lat, 1)
+    return homs, Poset(len(homs), _space_of_points(homs, 1).order_pairs)
 
 
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:
@@ -131,16 +130,10 @@ def tau_table(a: FinAlgebra, n: int) -> dict[tuple[int, int], int]:
     emb = pmv_membership(a, n)
     if emb is None:
         raise NonMemberError("algebra is not in the quasi-variety of the chain")
-    vec_index = {vec: t for t, vec in enumerate(emb.vectors)}
-    table = {}
-    for d in range(n + 1):
-        for t in range(a.size):
-            img = tuple(n if d <= v else 0 for v in emb.vectors[t])
-            if img not in vec_index:
-                raise InternalConsistencyError(
-                    "threshold image escaped the embedded carrier")
-            table[(d, t)] = vec_index[img]
-    return table
+    cells = [(d, t) for d in range(n + 1) for t in range(a.size)]
+    return dict(zip(cells, _positions(
+        [tuple(n if d <= v else 0 for v in emb.vectors[t]) for d, t in cells],
+        emb.vectors, "threshold image escaped the embedded carrier")))
 
 
 def skeleton_unit(a: FinAlgebra, n: int) -> Hom:
@@ -153,19 +146,11 @@ def skeleton_unit(a: FinAlgebra, n: int) -> Hom:
     carrier_index = {x: i for i, x in enumerate(carrier)}
     taus = tau_table(a, n)
     p_homs, elems, pw = _priestley_power(n, lat)
-    elem_index = {e: i for i, e in enumerate(elems)}
-    images = []
-    for t in range(a.size):
-        vals = []
-        for p in p_homs:
-            hits = [d for d in range(n + 1)
-                    if p(carrier_index[taus[(d, t)]]) == 1]
-            vals.append(max(hits))
-        val = tuple(vals)
-        if val not in elem_index:
-            raise InternalConsistencyError("unit image is not monotone")
-        images.append(elem_index[val])
-    hom = Hom(a, pw, tuple(images))
+    images = _positions(
+        [tuple(max(d for d in range(n + 1)
+                   if p(carrier_index[taus[(d, t)]]) == 1) for p in p_homs)
+         for t in range(a.size)], elems, "unit image is not monotone")
+    hom = Hom(a, pw, images)
     if not hom.injective:
         raise InternalConsistencyError("unit embedding failed to be injective")
     return hom

@@ -205,6 +205,19 @@ def test_internal_consistency_error_is_exit_2(tmp_path, monkeypatch, capsys):
         "error: evaluation map lost a point\n"
 
 
+def test_membership_of_a_large_discrete_space_ends_quickly(tmp_path):
+    # 2^24 up-sets: axiom (c) must not list them
+    x = StructSpace(2, 24, {(2,): frozenset(),
+                            (1,): frozenset((p, p) for p in range(24))})
+    path = write_json(tmp_path, "x.json", x.to_json())
+    start = time.perf_counter()
+    code, text = run(["membership", "2", "--space", path])
+    assert time.perf_counter() - start < 5
+    data = json.loads(text)
+    assert code == 0 and data["member"]
+    assert data["x2_axioms"] == {"a": True, "b": True, "c": True}
+
+
 def test_export(tmp_path):
     x = StructSpace(2, 2, {(2,): frozenset({(0, 1)}),
                            (1,): frozenset({(0, 0), (0, 1), (1, 1)})})
@@ -293,9 +306,17 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 3" in err and "column" in err
 
 
-def test_missing_file_is_an_input_error(capsys):
-    code, _ = run(["verify-duality", "2", "--algebra", "/nonexistent.json"])
-    assert code == 2
+@pytest.mark.parametrize("verb, flag, name, message", [
+    ("verify-duality", "--algebra", "absent.json", "no such file: {}"),
+    ("verify-duality", "--algebra", "", "cannot read {}: Is a directory"),
+    ("membership", "--space", "", "cannot read {}: Is a directory"),
+], ids=["missing-file", "directory", "directory-as-space"])
+def test_missing_file_is_an_input_error(tmp_path, capsys, verb, flag, name,
+                                        message):
+    path = str(tmp_path / name) if name else str(tmp_path)
+    code, text = run([verb, "2", flag, path])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
 
 
 SPACE_N2 = StructSpace(2, 1, {(2,): frozenset(),
@@ -312,6 +333,13 @@ ALGEBRA_PL2 = chain_algebra(2).to_json()
     ("membership", "2", "--space",
      {key: v for key, v in SPACE_N2.items() if key != "size"},
      "a space must have the key 'size'"),
+    ("membership", "2", "--space", {**SPACE_N2, "size": -1},
+     "size must be >= 0, got -1"),
+    ("membership", "2", "--space", {**SPACE_N2, "size": 2.7},
+     "size must be an integer, got 2.7"),
+    ("verify-duality", "2", "--algebra",
+     {**ALGEBRA_PL2, "meet": [[False, 0, 0], [0, 1, 1], [0, 1, 2]]},
+     "an operation table must be a list of rows of integers"),
     ("verify-duality", "2", "--algebra", {**ALGEBRA_PL2, "meet": 5}, ""),
     ("verify-duality", "2", "--algebra", [ALGEBRA_PL2], ""),
     ("verify-duality", "2", "--algebra", SPACE_N2,
@@ -320,8 +348,10 @@ ALGEBRA_PL2 = chain_algebra(2).to_json()
     ("classify-ac-ec", "2", "--algebra", chain_algebra(3).to_json(), ""),
     ("sn", "0", None, None, "n must be >= 1"),
 ], ids=["relations-list", "relations-number", "one-element-pair",
-        "space-array", "space-without-size", "meet-number", "algebra-array",
-        "space-as-algebra", "export-wrong-n", "classify-non-member", "sn-0"])
+        "space-array", "space-without-size", "space-negative-size",
+        "space-fractional-size", "boolean-table-entry", "meet-number",
+        "algebra-array", "space-as-algebra", "export-wrong-n",
+        "classify-non-member", "sn-0"])
 def test_bad_input_is_an_input_error(tmp_path, capsys, verb, n, flag,
                                      payload, message):
     argv = [verb, n]

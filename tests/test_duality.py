@@ -16,7 +16,7 @@ from pmvdual.duality import (MembershipReport, StructMorphism, StructSpace,
                              struct_morphism_maps, struct_space_to_dot,
                              x2_axiom_check, xn_membership)
 from pmvdual.errors import NonMemberError, WrongSignatureError
-from pmvdual.relations import top_seq
+from pmvdual.relations import order_failure, top_seq
 
 
 def two_space(sharp, order):
@@ -273,6 +273,72 @@ def test_a_missing_loop_of_the_last_point_needs_no_search():
                             order: x.order_pairs - {(11, 11)}})
     assert xn_membership(y, 4) == MembershipReport(
         False, ("relation", order, (11, 11)))
+
+
+# -- the n = 2 axioms against the up-set scan --------------------------------------
+
+def x2_axiom_scan(x):
+    """The n = 2 axioms, with (c) decided over the list of every up-set
+    and every down-set of the order: the deliberate oracle of the
+    per-pair search in x2_axiom_check.  Returns the report's verdicts
+    and witnesses."""
+    sharp, order = x.relations[(2,)], x.relations[(1,)]
+    witnesses = {}
+    axiom_a = sharp <= order
+    if not axiom_a:
+        witnesses["a"] = sorted(sharp - order)[0]
+    failure = order_failure(x.size, order)
+    axiom_b = failure is None
+    if not axiom_b:
+        witnesses["b"] = failure
+    axiom_c = axiom_b
+    if axiom_b:
+        points = frozenset(range(x.size))
+        subsets = [frozenset(p for p in points if mask >> p & 1)
+                   for mask in range(1 << x.size)]
+        ups = [u for u in subsets
+               if all(v in u for (w, v) in order if w in u)]
+        downs = [points - u for u in ups]
+        for (p, q) in sorted(order - sharp):
+            if not any(all(z in d or z2 in u for (z, z2) in sharp)
+                       for u in ups if q not in u
+                       for d in downs if p not in d):
+                axiom_c, witnesses["c"] = False, (p, q)
+                break
+    return axiom_a, axiom_b, axiom_c, witnesses
+
+
+@st.composite
+def two_spaces(draw):
+    """n = 2 spaces of at most 6 points.  The order is the transitive
+    closure of random pairs that rise in a random ranking, sometimes
+    with one pair toggled; the sharp relation is a random part of it
+    and up to three random pairs."""
+    size = draw(st.integers(0, 6))
+    rank = draw(st.permutations(range(size)))
+    point = st.integers(0, max(size - 1, 0))
+
+    def pairs(most):
+        return draw(st.frozensets(st.tuples(point, point),
+                                  max_size=most if size else 0))
+
+    order = {(p, p) for p in range(size)} | {
+        (rank[i], rank[j]) for (i, j) in pairs(size * size) if i < j}
+    for k in range(size):
+        order |= {(u, v) for (u, w) in order if w == k
+                  for (w2, v) in order if w2 == k}
+    order = frozenset(order) ^ pairs(1)
+    sharp = draw(st.frozensets(st.sampled_from(sorted(order)))) \
+        if order else frozenset()
+    return StructSpace(2, size, {(2,): sharp | pairs(3), (1,): order})
+
+
+@settings(deadline=None, max_examples=300)
+@given(two_spaces())
+def test_x2_axioms_match_the_up_set_scan(x):
+    rep = x2_axiom_check(x)
+    assert (rep.axiom_a, rep.axiom_b, rep.axiom_c, rep.witnesses) == \
+        x2_axiom_scan(x)
 
 
 # -- the duality on random subalgebras of chain powers ----------------------------
