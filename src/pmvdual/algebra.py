@@ -8,14 +8,16 @@ a witness.  Derived algebras (products, powers, subalgebras, pointwise
 algebras) are not validated again: the axioms are identities and one
 quasi-identity, which products and subalgebras preserve, and the builder
 checks that its elements are closed under the operations, so each is a
-subalgebra of a product of validated algebras.  Likewise hom_enumerate
-does not recheck the homs its constraint search lists.
+subalgebra of a product of validated algebras.  Products and powers are
+built from the factors' rows by index arithmetic (element i |B| + j of
+A x B is (i, j)).  Likewise hom_enumerate does not recheck the homs its
+constraint search lists; it keeps those of its last few searches, since
+a dual space often follows a hom search on the same algebra.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import product as iproduct
 from operator import getitem
 
 from .chain import OP_NAMES, Chain
@@ -205,8 +207,7 @@ def _pointwise(factors: list[FinAlgebra], elems: list[tuple[int, ...]],
     are closed under the operations and contain both constants, and
     BudgetExceededError, before building anything, when the four tables
     would have more than DEFAULT_HOM_BUDGET cells."""
-    if 4 * len(elems) ** 2 > DEFAULT_HOM_BUDGET:
-        raise BudgetExceededError(DEFAULT_HOM_BUDGET)
+    _charge(len(elems))
     index = {e: i for i, e in enumerate(elems)}
 
     def tab(name):
@@ -236,18 +237,35 @@ def pointwise_algebra(n: int, elems: list[tuple[int, ...]],
     return _pointwise([chain_algebra(n)] * len(elems[0]), elems, label)
 
 
+def _charge(size: int) -> None:
+    """Refuse an algebra whose four tables exceed the budget in cells."""
+    if 4 * size ** 2 > DEFAULT_HOM_BUDGET:
+        raise BudgetExceededError(DEFAULT_HOM_BUDGET)
+
+
 def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """Componentwise algebra on the cartesian product; index = i*|B| + j."""
-    return _pointwise([a, b], list(iproduct(range(a.size), range(b.size))),
-                      f"({a.label} x {b.label})" if a.label and b.label else "")
+    _charge(a.size * b.size)
+    sb = b.size
+
+    def tab(name):
+        scaled = [[x * sb for x in row] for row in a.table(name)]
+        return tuple(tuple([u + v for u in ra for v in rb])
+                     for ra in scaled for rb in b.table(name))
+
+    return _trusted(FinAlgebra, a.size * sb, tab("meet"), tab("join"),
+                    tab("oplus"), tab("odot"), a.zero * sb + b.zero,
+                    a.one * sb + b.one,
+                    f"({a.label} x {b.label})" if a.label and b.label else "")
 
 
 def power(a: FinAlgebra, k: int) -> FinAlgebra:
     """The k-fold product, indexed lexicographically."""
     if k == 0:
         return trivial_algebra()
-    return _pointwise([a] * k, list(iproduct(range(a.size), repeat=k)),
-                      f"{a.label}^{k}" if a.label else "")
+    _charge(a.size ** k)
+    return reduce(product, [a] * k).relabel(f"{a.label}^{k}" if a.label
+                                             else "")
 
 
 def trivial_algebra() -> FinAlgebra:
@@ -335,13 +353,28 @@ class Hom:
         return len(set(self.map)) == self.target.size
 
 
+# The hom maps of the last few searches, oldest first, by (id(a), id(b),
+# budget); an entry holds a and b, so no id is reused while it lives.  Four
+# cover the searches on A x B, A and B, then the dual spaces of the three.
+_RECENT_HOM_SEARCHES = 4
+_recent_homs: dict[tuple[int, int, int], tuple] = {}
+
+
 def hom_enumerate(a: FinAlgebra, b: FinAlgebra,
                   budget: int = DEFAULT_HOM_BUDGET) -> list[Hom]:
     """All homomorphisms a -> b, lexicographically ordered on map arrays.
 
-    budget bounds the nodes of the constraint kernel.
+    budget bounds the nodes of the constraint kernel.  A search of the
+    same two objects and budget among the last few is not run again.
     """
-    return [_trusted(Hom, a, b, m) for m in walk(_file_homs(a, b), budget)]
+    key = (id(a), id(b), budget)
+    entry = _recent_homs.pop(key, None)
+    if entry is None:
+        entry = a, b, tuple(walk(_file_homs(a, b), budget))
+        if len(_recent_homs) >= _RECENT_HOM_SEARCHES:
+            del _recent_homs[next(iter(_recent_homs))]
+    _recent_homs[key] = entry
+    return [_trusted(Hom, a, b, m) for m in entry[2]]
 
 
 @lru_cache(maxsize=16)

@@ -29,12 +29,14 @@ EXIT_BUDGET = 3
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise MalformedInputError(f"no such file: {path}")
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise MalformedInputError(f"cannot read {path}: not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise MalformedInputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}")

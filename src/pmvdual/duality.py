@@ -7,8 +7,9 @@ Topology plays no role at this scale; every finite space is discrete.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import and_, getitem
 
 from .algebra import (DEFAULT_HOM_BUDGET, Congruence, FinAlgebra, Hom,
                       _blocks_from_classes, chain_algebra, congruences,
@@ -166,12 +167,25 @@ def dual_space(a: FinAlgebra, n: int) -> StructSpace:
 
 
 def _space_of_points(homs: list[Hom], n: int) -> StructSpace:
+    """(i, j) is in a relation when each coordinate (u(t), v(t)) of the
+    points u = homs[i] and v = homs[j] is: the AND over t of bitmasks."""
+    keys, bits = _relation_bits(n)
     maps = [h.map for h in homs]
-    rels = {key: frozenset((i, j) for i, u in enumerate(maps)
-                           for j, v in enumerate(maps)
-                           if all(p in target for p in zip(u, v)))
-            for key, target in alter_ego(n).relations.items()}
-    return StructSpace(n, len(maps), rels)
+    masks = [[reduce(and_, map(getitem, rows, v), -1) for v in maps]
+             for rows in ([bits[x] for x in u] for u in maps)]
+    return StructSpace(n, len(maps), {key: frozenset(
+        (i, j) for i, row in enumerate(masks) for j, m in enumerate(row)
+        if m >> k & 1) for k, key in enumerate(keys)})
+
+
+@lru_cache(maxsize=None)
+def _relation_bits(n: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The alter ego's relation keys, and at [x][y] the bitmask of those
+    whose relation holds (x, y), bit k for the k-th key."""
+    rels = alter_ego(n).relations
+    return tuple(rels), tuple(tuple(
+        sum(1 << k for k, pairs in enumerate(rels.values()) if (x, y) in pairs)
+        for y in range(n + 1)) for x in range(n + 1))
 
 
 def dual_points(a: FinAlgebra, n: int) -> list[Hom]:
@@ -365,7 +379,8 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
         witnesses["b"] = failure
 
     axiom_c = axiom_b
-    if axiom_b:
+    unmet = sorted(order - sharp)
+    if axiom_b and unmet:
         # points i and size + i say that i is in U and in D; a sharp
         # (z, z2) has z in D or z2 in U; (p, q) needs q not in U, p not in D
         size, le, neither = x.size, leq_rel(1).pairs, frozenset({(0, 0)})
@@ -375,7 +390,7 @@ def x2_axiom_check(x: StructSpace) -> X2Report:
             (((size + v, size + u), le) for (u, v) in order),
             (((size + z, z2), either) for (z, z2) in sharp)))
         witness = _first_unmet(filed, (((p, q), q, size + p, neither)
-                                       for (p, q) in sorted(order - sharp)))
+                                       for (p, q) in unmet))
         if witness is not None:
             axiom_c, witnesses["c"] = False, witness
     return X2Report(axiom_a, axiom_b, axiom_c, witnesses)

@@ -4,7 +4,9 @@ from itertools import permutations, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmvdual.algebra import (FinAlgebra, Hom, all_subalgebra_carriers,
+from pmvdual import algebra
+from pmvdual.algebra import (FinAlgebra, Hom, _pointwise,
+                             all_subalgebra_carriers,
                              chain_algebra, congruences,
                              congruences_partition_scan,
                              congruences_principal_closure, find_isomorphism,
@@ -13,6 +15,7 @@ from pmvdual.algebra import (FinAlgebra, Hom, all_subalgebra_carriers,
                              power, product, restrict, subalgebra_generated,
                              trivial_algebra)
 from pmvdual.chain import OP_NAMES
+from pmvdual.duality import dual_space
 from pmvdual.errors import (AxiomViolationError, BudgetExceededError,
                             InternalConsistencyError)
 from pmvdual.search import constraint_maps
@@ -338,6 +341,101 @@ def test_derived_algebras_pass_validation(a, data):
             Hom(d, h.target, h.map)                    # so check here
     if k:       # the k-fold product is indexed like iterated products
         assert power(a, k) == reduce(product, [a] * k)
+
+
+def as_fields(a):
+    return (a.size, a.meet, a.join, a.oplus, a.odot, a.zero, a.one, a.label)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_products_and_powers_match_the_pointwise_builder(data):
+    labels = st.sampled_from(["", "A"])
+    a = data.draw(algebras()).relabel(data.draw(labels))
+    b = data.draw(algebras(max_size=64 // a.size)).relabel(data.draw(labels))
+    pairs = list(iproduct(range(a.size), range(b.size)))
+    assert as_fields(product(a, b)) == as_fields(_pointwise(
+        [a, b], pairs, f"({a.label} x {b.label})" if a.label and b.label
+        else ""))
+    k = data.draw(st.integers(0, 3))
+    c = data.draw(algebras(max_size=4 if k == 3 else 8))
+    c = c.relabel(data.draw(labels))
+    expected = _pointwise([c] * k, list(iproduct(range(c.size), repeat=k)),
+                          f"{c.label}^{k}" if c.label else "") \
+        if k else trivial_algebra()
+    assert as_fields(power(c, k)) == as_fields(expected)
+
+
+def test_a_power_over_the_budget_raises_before_any_factor(monkeypatch):
+    def built(a, b):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(algebra, "product", built)
+    with pytest.raises(BudgetExceededError):
+        power(chain_algebra(4), 5)                  # 3125 elements
+
+
+def test_a_product_over_the_budget_raises():
+    with pytest.raises(BudgetExceededError):
+        product(power(chain_algebra(4), 4), chain_algebra(4))
+
+
+# -- the memo of recent hom searches ----------------------------------------
+
+@pytest.fixture
+def filings(monkeypatch):
+    """The sources of every hom search set up from now on."""
+    calls = []
+    real = algebra._file_homs
+
+    def counted(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(algebra, "_file_homs", counted)
+    return calls
+
+
+def fresh(a):
+    """An algebra equal to a but a new object."""
+    return relabel(a, list(range(a.size)))
+
+
+def test_a_dual_space_reuses_the_hom_search_before_it(filings):
+    a, b = fresh(chain_algebra(2)), fresh(power(chain_algebra(1), 2))
+    ab = product(a, b)
+    counts = [len(hom_enumerate(x, chain_algebra(2))) for x in (ab, a, b)]
+    spaces = [dual_space(x, 2) for x in (ab, a, b)]
+    assert counts == [x.size for x in spaces] == [3, 1, 2]
+    assert filings == [ab, a, b]
+
+
+def test_equal_but_distinct_algebras_are_each_searched(filings):
+    a1, a2 = fresh(chain_algebra(3)), fresh(chain_algebra(3))
+    assert a1 == a2 and a1 is not a2
+    homs1 = hom_enumerate(a1, chain_algebra(3))
+    homs2 = hom_enumerate(a2, chain_algebra(3))
+    assert len(filings) == 2
+    assert [h.map for h in homs1] == [h.map for h in homs2]
+    assert all(h.source is a1 for h in homs1)
+    assert all(h.source is a2 for h in homs2)
+
+
+def test_a_returned_hom_list_is_the_callers_own(filings):
+    a = fresh(power(chain_algebra(2), 2))
+    homs = hom_enumerate(a, chain_algebra(2))
+    maps = [h.map for h in homs]
+    homs.clear()
+    again = hom_enumerate(a, chain_algebra(2))
+    assert [h.map for h in again] == maps and len(maps) == 2
+    assert len(filings) == 1
+
+
+def test_a_smaller_budget_is_not_met_from_the_memo():
+    a = fresh(power(chain_algebra(2), 2))
+    assert len(hom_enumerate(a, a)) == 4    # each coordinate a projection
+    with pytest.raises(BudgetExceededError):
+        hom_enumerate(a, a, budget=1)
 
 
 @pytest.mark.parametrize("a, carrier", [

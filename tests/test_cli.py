@@ -306,14 +306,19 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 3" in err and "column" in err
 
 
-@pytest.mark.parametrize("verb, flag, name, message", [
-    ("verify-duality", "--algebra", "absent.json", "no such file: {}"),
-    ("verify-duality", "--algebra", "", "cannot read {}: Is a directory"),
-    ("membership", "--space", "", "cannot read {}: Is a directory"),
-], ids=["missing-file", "directory", "directory-as-space"])
+@pytest.mark.parametrize("verb, flag, name, content, message", [
+    ("verify-duality", "--algebra", "absent.json", None, "no such file: {}"),
+    ("verify-duality", "--algebra", "", None,
+     "cannot read {}: Is a directory"),
+    ("membership", "--space", "", None, "cannot read {}: Is a directory"),
+    ("membership", "--space", "binary.json", b'{"n": 2, "size": \xd0\xff}',
+     "cannot read {}: not UTF-8 text"),
+], ids=["missing-file", "directory", "directory-as-space", "binary-file"])
 def test_missing_file_is_an_input_error(tmp_path, capsys, verb, flag, name,
-                                        message):
+                                        content, message):
     path = str(tmp_path / name) if name else str(tmp_path)
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
     code, text = run([verb, "2", flag, path])
     assert code == 2 and text == ""
     assert capsys.readouterr().err == f"error: {message.format(path)}\n"

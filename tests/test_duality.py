@@ -2,7 +2,7 @@ from functools import lru_cache, reduce
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmvdual.algebra import (all_subalgebra_carriers, chain_algebra,
                              hom_enumerate, power, restrict,
@@ -335,6 +335,8 @@ def two_spaces(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(two_spaces())
+@example(two_space(sharp={(0, 0), (0, 1), (1, 1)},     # sharp = order:
+                   order={(0, 0), (0, 1), (1, 1)}))   # nothing to check
 def test_x2_axioms_match_the_up_set_scan(x):
     rep = x2_axiom_check(x)
     assert (rep.axiom_a, rep.axiom_b, rep.axiom_c, rep.witnesses) == \

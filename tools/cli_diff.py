@@ -6,7 +6,9 @@ Each LABEL=DIR names the root of a checkout.  The script writes one
 fixed set of input files, made from a fixed seed with the first
 checkout's pmvdual:
 
-- every subalgebra of PL_n^2 for n <= 3, PL_1^3 and PL_2 x PL_1;
+- every subalgebra of PL_n^2 for n <= 3, PL_1^3 and PL_2 x PL_1, and
+  two larger ones built by power and product, PL_2^3 (27 elements) and
+  PL_3 x PL_1^2 (16 elements), for the verbs that reuse a hom list;
 - the dual space of each at its n, and three copies of it with one pair
   of one relation toggled;
 - the alter egos for n = 2, 3, 4.
@@ -65,6 +67,9 @@ def fixtures(src: Path, folder: Path) -> tuple[list, list, list]:
     algebras.append((1, "pl1cube", power(chain_algebra(1), 3)))
     algebras.append((2, "pl2xpl1", product(chain_algebra(2),
                                            chain_algebra(1))))
+    algebras.append((2, "pl2cube", power(chain_algebra(2), 3)))
+    algebras.append((3, "pl3xpl1sq", product(chain_algebra(3),
+                                             power(chain_algebra(1), 2))))
     rng = random.Random(SEED)
     algebra_paths, lattice_paths, spaces = [], [], []
     for n, name, a in algebras:
