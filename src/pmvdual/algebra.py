@@ -2,23 +2,25 @@
 
 Covers both the bounded-distributive-lattice case (oplus = join,
 odot = meet) and the general chain-valued case.  An algebra given by its
-tables, through algebra_from_tables, from_json or a direct FinAlgebra(...),
-is validated on construction; the first violated axiom is reported with
-a witness.  Derived algebras (products, powers, subalgebras, pointwise
-algebras) are not validated again: the axioms are identities and one
-quasi-identity, which products and subalgebras preserve, and the builder
-checks that its elements are closed under the operations, so each is a
-subalgebra of a product of validated algebras.  Products and powers are
-built from the factors' rows by index arithmetic (element i |B| + j of
-A x B is (i, j)).  Likewise hom_enumerate does not recheck the homs its
-constraint search lists; it keeps those of its last few searches, since
-a dual space often follows a hom search on the same algebra.
+tables (algebra_from_tables, from_json, FinAlgebra(...)) is validated on
+construction in about generators x size^2 steps (_cubic_axioms_hold);
+the first violated axiom and its witness come from the ordered scan of
+triples, run only on failure.  Derived algebras (products, powers,
+subalgebras, pointwise algebras) are not validated again: the axioms are
+identities and one quasi-identity, which products and subalgebras
+preserve, and the builder checks that its elements are closed under the
+operations.  Products and powers are built from the factors' rows by
+index arithmetic (element i |B| + j of A x B is (i, j)).  hom_enumerate
+does not recheck the homs its constraint search lists; it keeps those of
+its last few searches, since a dual space often follows a hom search.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from operator import getitem
+from itertools import compress, repeat
+from operator import and_, eq, getitem, ne, or_
 
 from .chain import OP_NAMES, Chain
 from .errors import (AxiomViolationError, BudgetExceededError,
@@ -114,17 +116,22 @@ def algebra_from_tables(tables: dict, consts: dict, label: str = "") -> FinAlgeb
     zero, one = as_int(consts["zero"], "zero"), as_int(consts["one"], "one")
     if not (0 <= zero < size and 0 <= one < size):
         raise AxiomViolationError("constants-range", (zero, one))
-    return FinAlgebra(size, parsed["meet"], parsed["join"], parsed["oplus"],
-                      parsed["odot"], zero, one, label)
+    a = _trusted(FinAlgebra, size, *parsed.values(), zero, one, label)
+    _validate(a, shaped=True)
+    return a
 
 
-def _validate(a: FinAlgebra) -> None:
-    if a.size ** 3 > DEFAULT_HOM_BUDGET:     # the triples checked below
+def _validate(a: FinAlgebra, shaped: bool = False) -> None:
+    """Raise the first violated axiom with its witness: the checks on
+    elements and pairs in order, then _cubic_axioms_hold, and only if it
+    fails the ordered scan of triples (shaped: _as_table has run)."""
+    if a.size ** 3 > DEFAULT_HOM_BUDGET:     # the triples of the scan
         raise BudgetExceededError(DEFAULT_HOM_BUDGET)
     m, j = a.meet, a.join
     rng = range(a.size)
-    for name in OP_NAMES:
-        _as_table(a.table(name), a.size)
+    if not shaped:
+        for name in OP_NAMES:
+            _as_table(a.table(name), a.size)
     for x in rng:
         if m[x][x] != x:
             raise AxiomViolationError("meet-idempotent", (x,))
@@ -153,6 +160,8 @@ def _validate(a: FinAlgebra) -> None:
             raise AxiomViolationError("oplus-unit-zero", (x,))
         if a.odot[x][a.one] != x:
             raise AxiomViolationError("odot-unit-one", (x,))
+    if _cubic_axioms_hold(a):
+        return
     for x in rng:
         for y in rng:
             for z in rng:
@@ -174,6 +183,57 @@ def _validate(a: FinAlgebra) -> None:
             for z in rng:
                 if m[t[x][z]][t[y][z]] != t[x][z]:
                     raise AxiomViolationError(f"{name}-monotone", (x, y, z))
+    raise InternalConsistencyError("the axiom checks and their scan disagree")
+
+
+def _cubic_axioms_hold(a: FinAlgebra) -> bool:
+    """Whether the operations are associative, the lattice distributive
+    and (+) and (.) monotone, given the checks on elements and pairs.
+    Meet is associative iff x -> down-set takes it to intersection; then
+    join is associative and distributive iff x -> J(x), the elements with
+    one lower cover below x (one-to-one), takes it to union (Birkhoff).
+    Monotone on the covering pairs is monotone; meet and join always are."""
+    m, n = a.meet, a.size
+    rng = range(n)
+    bits = [1 << y for y in rng]
+    up = [sum(compress(bits, map(x.__eq__, row))) for x, row in enumerate(m)]
+    down = [sum(compress(bits, map(eq, row, rng))) for row in m]
+    if not _homomorphic(m, down, and_):
+        return False
+    covers = [(x, y) for x in rng for y in compress(rng, map(x.__eq__, m[x]))
+              if x != y and up[x] & down[y] == bits[x] | bits[y]]
+    lower = Counter(y for _, y in covers)
+    irreducible = sum(bits[y] for y, k in lower.items() if k == 1)
+    return (_homomorphic(a.join, [d & irreducible for d in down], or_)
+            and _light(a.oplus) and _light(a.odot) and not any(
+                any(map(ne, map(getitem, map(m.__getitem__, t[x]), t[y]),
+                        t[x])) for t in (a.oplus, a.odot) for x, y in covers))
+
+
+def _homomorphic(t: Table, sets: list[int], op) -> bool:
+    """Whether sets[t[x][y]] == op(sets[x], sets[y]) for all x, y."""
+    return not any(any(map(ne, map(sets.__getitem__, row),
+                           map(op, repeat(s), sets)))
+                   for s, row in zip(sets, t))
+
+
+def _light(t: Table) -> bool:
+    """Whether the commutative table t is associative, by Light's test:
+    (x g) y = x (g y) for all x, y and each g of a generating set, the
+    elements that are no product x y with x, y != it, then, in index
+    order, each element that their closure misses."""
+    rng = range(len(t))
+    made = {z for x, row in enumerate(t) for y, z in enumerate(row)
+            if x != z != y}
+    gens, found = [], set()
+    for g in [z for z in rng if z not in made] + list(rng):
+        new = {g} - found
+        gens += new
+        while new:
+            found |= new
+            new = {t[u][v] for u in new for v in found} - found
+    return not any(any(map(ne, t[tx[g]], map(tx.__getitem__, t[g])))
+                   for g in gens for tx in t)     # row x g against x (g y)
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +252,7 @@ def chain_algebra(n: int) -> FinAlgebra:
 
 def _trusted(cls, *values):
     """An instance of the dataclass cls made without its __post_init__
-    check: only for values that are valid by construction."""
+    check: only for values valid by construction or checked right after."""
     obj = object.__new__(cls)
     for f, value in zip(fields(cls), values):
         object.__setattr__(obj, f.name, value)

@@ -9,6 +9,9 @@ checkout's pmvdual:
 - every subalgebra of PL_n^2 for n <= 3, PL_1^3 and PL_2 x PL_1, and
   two larger ones built by power and product, PL_2^3 (27 elements) and
   PL_3 x PL_1^2 (16 elements), for the verbs that reuse a hom list;
+- PL_4^3 (125 elements), and one invalid algebra for each axiom that
+  validation checks over triples or covering pairs (INVALID), so that
+  the first violated axiom and its witness are compared;
 - the dual space of each at its n, and three copies of it with one pair
   of one relation toggled;
 - the alter egos for n = 2, 3, 4.
@@ -38,11 +41,40 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product as iproduct
 from pathlib import Path
 
 SEED = 20231016
 PERTURBATIONS = 3
 TIMEOUT_S = 600
+# (name, base, table, x, y, v): the base algebra with t[x][y] = t[y][x] = v
+# in the table t, which fails the axiom that the name gives
+INVALID = [
+    ("meet_assoc", "pl2sq", "meet", 2, 4, 0),
+    ("join_assoc", "pl2sq", "join", 1, 3, 5),
+    ("distributivity", "pl1cube", "join", 2, 4, 7),
+    ("oplus_assoc", "pl3", "oplus", 1, 2, 0),
+    ("odot_assoc", "pl3", "odot", 0, 1, 1),
+    ("oplus_monotone", "pl2xpl1", "oplus", 1, 2, 5),
+    ("odot_monotone", "pl2xpl1", "odot", 3, 4, 0),
+]
+
+
+def lattice(points, le) -> dict:
+    """The lattice on the list of points, bottom first and top last,
+    ordered by le, with (+) = join and (.) = meet, as algebra JSON;
+    element i is points[i]."""
+    def table(lower: bool) -> list:
+        def bound(x, y):
+            common = [z for z in points if (le(z, x) and le(z, y) if lower
+                                            else le(x, z) and le(y, z))]
+            return points.index(next(z for z in common if all(
+                le(w, z) if lower else le(z, w) for w in common)))
+        return [[bound(x, y) for y in points] for x in points]
+
+    meet, join = table(True), table(False)
+    return {"size": len(points), "meet": meet, "join": join, "oplus": join,
+            "odot": meet, "zero": 0, "one": len(points) - 1}
 
 
 def fixtures(src: Path, folder: Path) -> tuple[list, list, list]:
@@ -89,6 +121,25 @@ def fixtures(src: Path, folder: Path) -> tuple[list, list, list]:
     for n in (2, 3, 4):
         spaces.append((n, write(f"alter_ego_{n}.json",
                                 alter_ego(n).to_json())))
+    algebra_paths.append(write("pl4cube.json",
+                               power(chain_algebra(4), 3).to_json()))
+    bases = {name: a for _, name, a in algebras}
+    bases.update(pl2sq=power(chain_algebra(2), 2), pl3=chain_algebra(3))
+    for name, base, table, x, y, v in INVALID:
+        payload = bases[base].to_json()
+        payload[table][x][y] = payload[table][y][x] = v
+        algebra_paths.append(write(f"invalid_{name}.json", payload))
+
+    def m3(x, y):
+        return x == y or x == 0 or y == 4
+
+    def n5(x, y):
+        return m3(x, y) or (x, y) == (1, 2)
+
+    algebra_paths.append(write("invalid_m3.json", lattice(list(range(5)), m3)))
+    algebra_paths.append(write("invalid_n5xpl1.json", lattice(
+        list(iproduct(range(5), range(2))),
+        lambda p, q: n5(p[0], q[0]) and p[1] <= q[1])))
     return algebra_paths, lattice_paths, spaces
 
 
