@@ -10,8 +10,9 @@ checkout's pmvdual:
   two larger ones built by power and product, PL_2^3 (27 elements) and
   PL_3 x PL_1^2 (16 elements), for the verbs that reuse a hom list;
 - PL_4^3 (125 elements), and one invalid algebra for each axiom that
-  validation checks over triples or covering pairs (INVALID), so that
-  the first violated axiom and its witness are compared;
+  validation checks over triples or covering pairs (INVALID), with M3
+  and N5 x PL_1 for distributivity, so that the first violated axiom
+  and its witness are compared;
 - the dual space of each at its n, and three copies of it with one pair
   of one relation toggled;
 - the alter egos for n = 2, 3, 4.
