@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
-from itertools import compress, repeat
-from operator import and_, eq, getitem, ne, or_
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, repeat
+from math import prod
+from operator import add, and_, eq, getitem, mul, ne, or_
 
 from .chain import OP_NAMES, Chain
 from .errors import (AxiomViolationError, BudgetExceededError,
@@ -37,17 +38,16 @@ PARTITION_SCAN_MAX = 12
 def _as_table(rows, size: int) -> Table:
     try:
         table = tuple(tuple(row) for row in rows)
-        if any(type(v) is not int for row in table for v in row):
+        if not all(map({int}.issuperset, map(partial(map, type), table))):
             raise TypeError
     except TypeError:
         raise MalformedInputError(
             "an operation table must be a list of rows of integers") from None
     if len(table) != size or any(len(row) != size for row in table):
         raise AxiomViolationError("table-shape", (size,))
-    for row in table:
-        for v in row:
-            if not (0 <= v < size):
-                raise AxiomViolationError("table-range", (v,))
+    if not all(map(set(range(size)).issuperset, table)):
+        raise AxiomViolationError("table-range", (next(
+            v for row in table for v in row if not 0 <= v < size),))
     return table
 
 
@@ -266,28 +266,40 @@ def _pointwise(factors: list[FinAlgebra], elems: list[tuple[int, ...]],
     is elems[i].  Raises InternalConsistencyError unless the elements
     are closed under the operations and contain both constants, and
     BudgetExceededError, before building anything, when the four tables
-    would have more than DEFAULT_HOM_BUDGET cells."""
+    would have more than DEFAULT_HOM_BUDGET cells.  A tuple is coded in
+    mixed radix over the factor sizes, and a table is built from the
+    codes of its cells, summed over the coordinates a whole table at a
+    time, then looked up in one dict from code to element."""
     _charge(len(elems))
-    index = {e: i for i, e in enumerate(elems)}
+    sizes = [f.size for f in factors]
+    weights = [prod(sizes[c + 1:]) for c in range(len(sizes))]
+    index = {sum(map(mul, e, weights)): i for i, e in enumerate(elems)}
+    code = index.__getitem__
+
+    def codes(t, w, col):
+        """The cells w t[u][v], u and then v running over the values in
+        col, one coordinate of the elements; each u's row is made once."""
+        rows = {u: list(map(mul, map(getitem, repeat(t[u]), col), repeat(w)))
+                for u in set(col)}
+        return chain.from_iterable(map(rows.__getitem__, col))
 
     def tab(name):
-        tables = [f.table(name) for f in factors]
-        rows = []
-        for e1 in elems:
-            e1_rows = [t[x] for t, x in zip(tables, e1)]
-            rows.append(tuple([index[tuple(map(getitem, e1_rows, e2))]
-                               for e2 in elems]))
-        return tuple(rows)
+        parts = list(map(codes, [f.table(name) for f in factors], weights,
+                         zip(*elems)))
+        cells = map(code, reduce(partial(map, add), parts) if parts else
+                    repeat(0, len(elems) ** 2))
+        return tuple(map(tuple, zip(*[cells] * len(elems))))
 
     try:
         return _trusted(FinAlgebra, len(elems), tab("meet"), tab("join"),
                         tab("oplus"), tab("odot"),
-                        index[tuple(f.zero for f in factors)],
-                        index[tuple(f.one for f in factors)], label)
+                        code(sum(f.zero * w for f, w in zip(factors, weights))),
+                        code(sum(f.one * w for f, w in zip(factors, weights))),
+                        label)
     except KeyError as missing:
+        value = tuple(missing.args[0] // w % s for w, s in zip(weights, sizes))
         raise InternalConsistencyError(
-            f"pointwise value {missing.args[0]} left the element set"
-        ) from None
+            f"pointwise value {value} left the element set") from None
 
 
 def pointwise_algebra(n: int, elems: list[tuple[int, ...]],
@@ -387,6 +399,9 @@ class Hom:
     map: tuple[int, ...]
 
     def __post_init__(self):
+        # cell by cell in order, so the first failing cell is the witness;
+        # under CPython 3.11, comparing rows with map() was slower on the
+        # algebras of up to 27 elements that make most of the Homs built
         object.__setattr__(self, "map", tuple(self.map))
         if len(self.map) != self.source.size:
             raise ValueError("map length mismatch")
@@ -446,7 +461,7 @@ def _target_tables(b: FinAlgebra) -> tuple[list[int], list, dict]:
     operation i and shape s:  s = 0: z < x = y, 1: x = y < z,
     2: z < x < y, 3: z = x < y, 4: x < z < y, 5: x < y = z, 6: x < y < z.
     Last, the memo of the meets of those tables by bitmask, which
-    _file_homs fills."""
+    _file_homs fills for the constraints on two points."""
     idem, tables = [], []
     for name in OP_NAMES:
         graph = frozenset((x, y, z) for x, row in enumerate(b.table(name))
@@ -462,21 +477,23 @@ def _file_homs(a: FinAlgebra, b: FinAlgebra) -> Filed:
     """The kernel's set-up for the homs a -> b: the constants, and for
     each operation and each x <= y the triple (x, y, t[x][y]) into the
     operation's graph in b; all four operations are commutative, so
-    these fix the whole graph.  The triples on the same points are
+    these fix the whole graph.  A triple on three points is filed as it
+    is met, one per cell, under its largest point with the table of its
+    operation and shape.  The constraints on the same two points are
     collected as one bitmask of (operation, shape) and meet as one
-    table, which is shared by every search into b."""
+    table, memoised for every search into b; the walk ANDs the same
+    masks either way."""
     idem, tables, memo = _target_tables(b)
     size = a.size
     own = [(1 << b.size) - 1] * size
     own[a.zero] &= 1 << b.zero
     own[a.one] &= 1 << b.one
-    # the masks of the points lo < hi at pair[hi size + lo], and of the
-    # points lo < mid < hi at triple[(hi size + lo) size + mid]
+    # the masks of the points lo < hi at pair[hi size + lo]
     pair = [0] * size * size
-    triple: dict[int, int] = {}
-    get = triple.get
+    triples: list[list[tuple]] = [[] for _ in range(size)]
     for i, name in enumerate(OP_NAMES):
-        b0, b1, b2, b3, b4, b5, b6 = (1 << 7 * i + s for s in range(7))
+        b0, b1, b3, b5 = (1 << 7 * i + s for s in (0, 1, 3, 5))
+        t2, t4, t6 = tables[7 * i + 2], tables[7 * i + 4], tables[7 * i + 6]
         for x, row in enumerate(a.table(name)):
             z = row[x]
             if z == x:
@@ -487,19 +504,16 @@ def _file_homs(a: FinAlgebra, b: FinAlgebra) -> Filed:
                 pair[z * size + x] |= b1
             for y, z in enumerate(row[x + 1:], x + 1):
                 if z < x:
-                    k = (y * size + z) * size + x
-                    triple[k] = get(k, 0) | b2
+                    triples[y].append((z, x, t2))
                 elif z == x:
                     pair[y * size + x] |= b3
                 elif z < y:
-                    k = (y * size + x) * size + z
-                    triple[k] = get(k, 0) | b4
+                    triples[y].append((x, z, t4))
                 elif z == y:
                     pair[y * size + x] |= b5
                 else:
-                    k = (z * size + x) * size + y
-                    triple[k] = get(k, 0) | b6
-    for mask in set(pair).union(triple.values()) - memo.keys():
+                    triples[z].append((x, y, t6))
+    for mask in set(pair) - memo.keys():
         if mask:
             memo[mask] = reduce(
                 lambda t1, t2: tuple([m1 & m2 for m1, m2 in zip(t1, t2)]),
@@ -507,11 +521,6 @@ def _file_homs(a: FinAlgebra, b: FinAlgebra) -> Filed:
     pairs = [[(x, memo[mask]) for x, mask in
               enumerate(pair[y * size:y * size + y]) if mask]
              for y in range(size)]
-    triples: list[list[tuple]] = [[] for _ in range(size)]
-    for k, mask in triple.items():
-        zx, y = divmod(k, size)
-        z, x = divmod(zx, size)
-        triples[z].append((x, y, memo[mask]))
     return size, b.size, own, pairs, triples, {}
 
 

@@ -1,6 +1,8 @@
 import time
 from functools import lru_cache, reduce
 from itertools import permutations, product as iproduct
+from math import prod
+from operator import getitem
 from unittest import mock
 
 import pytest
@@ -447,6 +449,142 @@ def test_a_smaller_budget_is_not_met_from_the_memo():
 def test_restrict_to_a_non_closed_carrier_raises(a, carrier):
     with pytest.raises(InternalConsistencyError):
         restrict(a, carrier)
+
+
+# -- the pointwise builder against a per-cell oracle -------------------------------
+
+def oracle_pointwise(factors, elems, label):
+    """The pointwise algebra on elems, one cell at a time: each cell's
+    tuple of coordinates looked up in a dict from tuple to element."""
+    algebra._charge(len(elems))
+    index = {e: i for i, e in enumerate(elems)}
+
+    def tab(name):
+        tables = [f.table(name) for f in factors]
+        rows = []
+        for e1 in elems:
+            e1_rows = [t[x] for t, x in zip(tables, e1)]
+            rows.append(tuple([index[tuple(map(getitem, e1_rows, e2))]
+                               for e2 in elems]))
+        return tuple(rows)
+
+    try:
+        return _trusted(FinAlgebra, len(elems), tab("meet"), tab("join"),
+                        tab("oplus"), tab("odot"),
+                        index[tuple(f.zero for f in factors)],
+                        index[tuple(f.one for f in factors)], label)
+    except KeyError as missing:
+        raise InternalConsistencyError(
+            f"pointwise value {missing.args[0]} left the element set"
+        ) from None
+
+
+def built(build, factors, elems):
+    """The fields of the algebra built, or the error and its text."""
+    try:
+        return as_fields(build(factors, elems, "P"))
+    except InternalConsistencyError as exc:
+        return "InternalConsistencyError", str(exc)
+
+
+@st.composite
+def pointwise_inputs(draw):
+    """None to three factors of mixed sizes, at most 64 tuples in all,
+    and a permuted list of tuples over them: the subuniverse of the
+    product generated by a few tuples, sometimes with one tuple added or
+    dropped, so that it may not be closed or may miss a constant."""
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        room = 64 // prod(f.size for f in factors)
+        if room < 2:
+            break
+        factors.append(draw(algebras(max_size=min(room, 9))))
+    whole = reduce(product, factors) if factors else trivial_algebra()
+    tuples = list(iproduct(*(range(f.size) for f in factors)))
+    gens = draw(st.lists(st.integers(0, whole.size - 1), max_size=3))
+    carrier = set(generated_carrier(whole, gens))
+    if draw(st.integers(0, 2)) == 0:
+        carrier ^= {draw(st.integers(0, whole.size - 1))}
+    return factors, draw(st.permutations([tuples[x] for x in carrier]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(pointwise_inputs())
+def test_pointwise_matches_the_per_cell_oracle(inputs):
+    factors, elems = inputs
+    assert built(_pointwise, factors, elems) == \
+        built(oracle_pointwise, factors, elems)
+
+
+@pytest.mark.parametrize("factors, elems", [
+    ([], [()]),                                     # no factors
+    ([], []),
+    ([chain_algebra(3)], [(0,), (3,)]),             # one factor, as restrict
+    ([chain_algebra(2), chain_algebra(1)], [(0, 0), (2, 1)]),
+    ([chain_algebra(2), chain_algebra(1)], [(2, 1), (1, 1), (0, 0)]),
+])
+def test_pointwise_edge_cases_match_the_oracle(factors, elems):
+    assert built(_pointwise, factors, elems) == \
+        built(oracle_pointwise, factors, elems)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: restrict(power(chain_algebra(2), 2), (0, 1, 8)),
+     "pointwise value (2,) left the element set"),
+    (lambda: pointwise_algebra(2, [(0, 0), (0, 1), (2, 2)], "E"),
+     "pointwise value (0, 2) left the element set"),
+])
+def test_a_value_outside_the_elements_is_named(build, message):
+    with pytest.raises(InternalConsistencyError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+# -- the hom check against the ordered scan ---------------------------------------
+
+def scanned_hom(a, b, m):
+    """The check of m as a hom a -> b, cell by cell in order."""
+    if len(m) != a.size:
+        raise ValueError("map length mismatch")
+    if m[a.zero] != b.zero:
+        raise AxiomViolationError("hom-preserves-zero", (a.zero,))
+    if m[a.one] != b.one:
+        raise AxiomViolationError("hom-preserves-one", (a.one,))
+    for name in OP_NAMES:
+        ts, tt = a.table(name), b.table(name)
+        for x in range(a.size):
+            for y in range(a.size):
+                if m[ts[x][y]] != tt[m[x]][m[y]]:
+                    raise AxiomViolationError(f"hom-preserves-{name}", (x, y))
+
+
+def checked_hom(check, a, b, m):
+    """"hom", or the error's type, text, axiom and witness."""
+    try:
+        check(a, b, tuple(m))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "axiom", None),
+                getattr(exc, "witness", None))
+    return "hom"
+
+
+@settings(deadline=None, max_examples=60)
+@given(algebras(max_size=16), st.integers(1, 3), st.data())
+def test_the_hom_check_matches_the_ordered_scan(a, n, data):
+    chain = chain_algebra(n)
+    maps = [h.map for h in hom_enumerate(a, chain)]
+    for m in maps:
+        assert checked_hom(Hom, a, chain, m) == "hom"
+    # every one-cell change of a listed hom, and of one drawn map, with
+    # values outside the target too
+    maps.append(tuple(data.draw(st.lists(st.integers(0, n), min_size=a.size,
+                                         max_size=a.size))))
+    for m in maps:
+        for x in range(a.size):
+            for v in range(-1, chain.size + 1):
+                changed_map = m[:x] + (v,) + m[x + 1:]
+                assert checked_hom(Hom, a, chain, changed_map) == \
+                    checked_hom(scanned_hom, a, chain, changed_map)
 
 
 # -- validation against the ordered scan -----------------------------------------

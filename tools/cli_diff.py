@@ -7,8 +7,10 @@ fixed set of input files, made from a fixed seed with the first
 checkout's pmvdual:
 
 - every subalgebra of PL_n^2 for n <= 3, PL_1^3 and PL_2 x PL_1, and
-  two larger ones built by power and product, PL_2^3 (27 elements) and
-  PL_3 x PL_1^2 (16 elements), for the verbs that reuse a hom list;
+  larger ones built by power and product, PL_2^3 (27 elements),
+  PL_3 x PL_1^2 (16 elements), and PL_2^4 (81) and PL_1^6 (64), the
+  shapes of the largest double duals that verify-duality builds, for
+  the verbs that reuse a hom list;
 - PL_4^3 (125 elements), and one invalid algebra for each axiom that
   validation checks over triples or covering pairs (INVALID), with M3
   and N5 x PL_1 for distributivity, so that the first violated axiom
@@ -103,6 +105,8 @@ def fixtures(src: Path, folder: Path) -> tuple[list, list, list]:
     algebras.append((2, "pl2cube", power(chain_algebra(2), 3)))
     algebras.append((3, "pl3xpl1sq", product(chain_algebra(3),
                                              power(chain_algebra(1), 2))))
+    algebras.append((2, "pl2pow4", power(chain_algebra(2), 4)))
+    algebras.append((1, "pl1pow6", power(chain_algebra(1), 6)))
     rng = random.Random(SEED)
     algebra_paths, lattice_paths, spaces = [], [], []
     for n, name, a in algebras:
