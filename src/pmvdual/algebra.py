@@ -25,14 +25,13 @@ from operator import add, and_, eq, getitem, mul, ne, or_
 
 from .chain import OP_NAMES, Chain
 from .errors import (AxiomViolationError, BudgetExceededError,
-                     InternalConsistencyError, MalformedInputError,
-                     SizeLimitError, as_int, require_keys)
+                     InternalConsistencyError, MalformedInputError, as_int,
+                     require_keys)
 from .search import Filed, _table, injective, walk
 
 Table = tuple[tuple[int, ...], ...]
 
 DEFAULT_HOM_BUDGET = 5_000_000
-PARTITION_SCAN_MAX = 12
 
 
 def _as_table(rows, size: int) -> Table:
@@ -193,21 +192,28 @@ def _cubic_axioms_hold(a: FinAlgebra) -> bool:
     join is associative and distributive iff x -> J(x), the elements with
     one lower cover below x (one-to-one), takes it to union (Birkhoff).
     Monotone on the covering pairs is monotone; meet and join always are."""
-    m, n = a.meet, a.size
-    rng = range(n)
-    bits = [1 << y for y in rng]
-    up = [sum(compress(bits, map(x.__eq__, row))) for x, row in enumerate(m)]
-    down = [sum(compress(bits, map(eq, row, rng))) for row in m]
+    m = a.meet
+    down, covers = _order(m)
     if not _homomorphic(m, down, and_):
         return False
-    covers = [(x, y) for x in rng for y in compress(rng, map(x.__eq__, m[x]))
-              if x != y and up[x] & down[y] == bits[x] | bits[y]]
     lower = Counter(y for _, y in covers)
-    irreducible = sum(bits[y] for y, k in lower.items() if k == 1)
+    irreducible = sum(1 << y for y, k in lower.items() if k == 1)
     return (_homomorphic(a.join, [d & irreducible for d in down], or_)
             and _light(a.oplus) and _light(a.odot) and not any(
                 any(map(ne, map(getitem, map(m.__getitem__, t[x]), t[y]),
                         t[x])) for t in (a.oplus, a.odot) for x, y in covers))
+
+
+def _order(m: Table) -> tuple[list[int], list[tuple[int, int]]]:
+    """The down-set bitset of each element, and the covering pairs x < y,
+    in order, of the order x <= y iff x meet y = x."""
+    rng = range(len(m))
+    bits = [1 << y for y in rng]
+    up = [sum(compress(bits, map(x.__eq__, row))) for x, row in enumerate(m)]
+    down = [sum(compress(bits, map(eq, row, rng))) for row in m]
+    return down, [(x, y) for x in rng
+                  for y in compress(rng, map(x.__eq__, m[x]))
+                  if x != y and up[x] & down[y] == bits[x] | bits[y]]
 
 
 def _homomorphic(t: Table, sets: list[int], op) -> bool:
@@ -553,116 +559,56 @@ def _blocks_from_classes(cls) -> Congruence:
     return Congruence(tuple(tuple(bl) for bl in blocks.values()))
 
 
-def _is_compatible(a: FinAlgebra, cls) -> bool:
-    rng = range(a.size)
-    for name in OP_NAMES:
-        t = a.table(name)
-        for x in rng:
-            for y in rng:
-                if x < y and cls[x] == cls[y]:
-                    for z in rng:
-                        if cls[t[x][z]] != cls[t[y][z]]:
-                            return False
-    return True
-
-
-def congruences_partition_scan(a: FinAlgebra) -> list[Congruence]:
-    """Enumerate restricted-growth strings with compatibility pruning."""
-    if a.size > PARTITION_SCAN_MAX:
-        raise SizeLimitError(
-            f"partition scan supports size <= {PARTITION_SCAN_MAX}")
-    m = a.size
-    found: list[Congruence] = []
-    cls = [0] * m
-
-    def compatible_prefix(k: int) -> bool:
-        # elements 0..k assigned; check pairs whose op results are also <= k
-        for name in OP_NAMES:
-            t = a.table(name)
-            for x in range(k + 1):
-                if cls[x] != cls[k]:
-                    continue
-                for z in range(k + 1):
-                    u, v = t[x][z], t[k][z]
-                    if u <= k and v <= k and cls[u] != cls[v]:
-                        return False
-        return True
-
-    def assign(k: int, maxc: int) -> None:
-        if k == m:
-            if _is_compatible(a, cls):
-                found.append(_blocks_from_classes(tuple(cls)))
-            return
-        for c in range(maxc + 2):
-            cls[k] = c
-            if compatible_prefix(k):
-                assign(k + 1, max(maxc, c))
-
-    assign(0, -1)
-    found.sort(key=lambda th: (-len(th.blocks), th.class_of()))
-    return found
-
-
-def _congruence_generated(a: FinAlgebra, pairs) -> Congruence:
-    """Smallest congruence identifying each of the pairs: union-find
-    closed under the operations."""
-    parent = list(range(a.size))
-
+def _classes(parent: list[int], pairs, tables) -> tuple[int, ...]:
+    """The class of each element, named by its least element, once the
+    classes of each pair are merged in the union-find forest parent, whose
+    roots are the least elements of their classes.  A pair (u, v) that
+    merges two classes adds (t[u][z], t[v][z]) for each table t and each
+    z; the tables are commutative, so this closes under them."""
     def find(u):
         while parent[u] != u:
-            parent[u] = parent[parent[u]]
             u = parent[u]
         return u
 
-    def union(u, v):
+    todo = list(pairs)
+    while todo:
+        u, v = todo.pop()
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-            return True
-        return False
-
-    for (x, y) in pairs:
-        union(x, y)
-    changed = True
-    while changed:
-        changed = False
-        for name in OP_NAMES:
-            t = a.table(name)
-            for u in range(a.size):
-                for v in range(u + 1, a.size):
-                    if find(u) == find(v):
-                        for z in range(a.size):
-                            if union(t[u][z], t[v][z]):
-                                changed = True
-    cls = tuple(find(u) for u in range(a.size))
-    return _blocks_from_classes(cls)
-
-
-def congruences_principal_closure(a: FinAlgebra) -> list[Congruence]:
-    delta = _blocks_from_classes(tuple(range(a.size)))
-    found = {delta}
-    principals = {_congruence_generated(a, [(x, y)])
-                  for x in range(a.size) for y in range(x + 1, a.size)}
-    found |= principals
-    frontier = list(found)
-    while frontier:
-        th = frontier.pop()
-        for p in principals:
-            joined = _congruence_generated(
-                a, [(bl[0], u) for c in (th, p) for bl in c.blocks
-                    for u in bl[1:]])
-            if joined not in found:
-                found.add(joined)
-                frontier.append(joined)
-    result = sorted(found, key=lambda th: (-len(th.blocks), th.class_of()))
-    return result
+            for t in tables:
+                todo += zip(t[u], t[v])
+    return tuple(map(find, range(len(parent))))
 
 
 def congruences(a: FinAlgebra) -> list[Congruence]:
-    """All congruences, ordered by refinement depth (diagonal first)."""
-    if a.size <= PARTITION_SCAN_MAX:
-        return congruences_partition_scan(a)
-    return congruences_principal_closure(a)
+    """All congruences, the finest first: by number of blocks, most
+    first, then by class_of().
+
+    A congruence holds (x, y) iff it holds (x meet y, x join y), and it
+    holds x < y iff it holds every covering pair of a maximal chain from
+    x to y; so each congruence is the join of the principal congruences
+    Cg(c, d) of the covering pairs c < d it holds.  Each principal is
+    closed by one worklist (_classes), and the joins of those, found one
+    principal at a time from the diagonal, are all the congruences.  A
+    join of congruences is the transitive closure of their union, which
+    is compatible already, so it merges classes without closing again
+    (Freese, "Computing congruences efficiently", 2008)."""
+    rng = range(a.size)
+    tables = [a.table(name) for name in OP_NAMES]
+    principals = {_classes(list(rng), [pair], tables)
+                  for pair in _order(a.meet)[1]}
+    found = {tuple(rng)}
+    frontier = list(found)
+    while frontier:
+        theta = frontier.pop()
+        for p in principals:
+            joined = _classes(list(theta), enumerate(p), ())
+            if joined not in found:
+                found.add(joined)
+                frontier.append(joined)
+    return sorted(map(_blocks_from_classes, found),
+                  key=lambda th: (-len(th.blocks), th.class_of()))
 
 
 def is_simple(a: FinAlgebra) -> bool:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 
-from .chain import OP_NAMES, Chain, Subalgebra, chain_subalgebras
+from .algebra import FinAlgebra, chain_algebra, generated_carrier, power
+from .chain import Chain, Subalgebra, chain_subalgebras
 from .errors import (BudgetExceededError, MalformedSequenceError,
                      NotASubalgebraError, SizeLimitError)
 from .search import constraint_maps
@@ -382,19 +383,17 @@ def sn_relations(n: int) -> dict[tuple[int, ...], BinRel]:
 
 # -- brute-force oracle -----------------------------------------------------------
 
-def _close_pairs(n: int, seed: frozenset[Pair]) -> frozenset[Pair]:
-    c = Chain(n)
-    pairs = set(seed) | {(0, 0), (n, n)}
-    frontier = list(pairs)
-    while frontier:
-        (x1, y1) = frontier.pop()
-        for (x2, y2) in list(pairs):
-            for name in OP_NAMES:
-                p = (c.op(name, x1, x2), c.op(name, y1, y2))
-                if p not in pairs:
-                    pairs.add(p)
-                    frontier.append(p)
-    return frozenset(pairs)
+@lru_cache(maxsize=8)
+def _chain_square(n: int) -> FinAlgebra:
+    return power(chain_algebra(n), 2)
+
+
+def _close_pairs(n: int, seed) -> frozenset[Pair]:
+    """The subalgebra of the chain square generated by the pairs, with
+    (x, y) coded as element x (n + 1) + y of the square."""
+    carrier = generated_carrier(_chain_square(n),
+                                [x * (n + 1) + y for (x, y) in seed])
+    return frozenset(divmod(c, n + 1) for c in carrier)
 
 
 def square_subalgebras_oracle(n: int) -> list[BinRel]:

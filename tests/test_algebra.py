@@ -11,9 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from pmvdual import algebra
 from pmvdual.algebra import (FinAlgebra, Hom, _pointwise, _trusted,
                              all_subalgebra_carriers,
-                             chain_algebra, congruences,
-                             congruences_partition_scan,
-                             congruences_principal_closure, find_isomorphism,
+                             _blocks_from_classes, chain_algebra,
+                             congruences, find_isomorphism,
                              generated_carrier, hom_enumerate, is_isomorphic,
                              is_simple, pmv_membership, pointwise_algebra,
                              power, product, restrict, subalgebra_generated,
@@ -121,6 +120,7 @@ def test_trivial_algebra_has_no_hom_into_a_chain():
 def test_chains_are_simple():
     for n in (1, 2, 3, 4):
         assert is_simple(chain_algebra(n))
+    assert is_simple(chain_algebra(12))   # 13 elements
     assert not is_simple(trivial_algebra())
     assert not is_simple(power(chain_algebra(2), 2))
 
@@ -129,13 +129,6 @@ def test_congruences_of_a_product_of_two_simple_factors():
     a = power(chain_algebra(2), 2)
     cons = congruences(a)
     assert len(cons) == 4                 # diagonal, two kernels, full
-
-
-def test_partition_scan_agrees_with_principal_closure():
-    for alg in (chain_algebra(3), power(chain_algebra(2), 2)):
-        scan = {c.blocks for c in congruences_partition_scan(alg)}
-        clos = {c.blocks for c in congruences_principal_closure(alg)}
-        assert scan == clos
 
 
 def test_pmv_membership_separating_embedding():
@@ -203,6 +196,61 @@ def algebras(draw, max_size=9):
     permutation."""
     a = draw(st.sampled_from(small_subalgebras(max_size)))
     return relabel(a, draw(st.permutations(range(a.size))))
+
+
+def congruences_partition_scan(a):
+    """The congruences by a scan of the restricted-growth strings, pruned
+    by compatibility on the elements assigned so far."""
+    m = a.size
+    found = []
+    cls = [0] * m
+
+    def compatible_prefix(k):
+        # elements 0..k assigned; check pairs whose op results are also <= k
+        for name in OP_NAMES:
+            t = a.table(name)
+            for x in range(k + 1):
+                if cls[x] != cls[k]:
+                    continue
+                for z in range(k + 1):
+                    u, v = t[x][z], t[k][z]
+                    if u <= k and v <= k and cls[u] != cls[v]:
+                        return False
+        return True
+
+    def compatible():
+        return all(cls[t[x][z]] == cls[t[y][z]]
+                   for t in map(a.table, OP_NAMES) for x in range(m)
+                   for y in range(x + 1, m) if cls[x] == cls[y]
+                   for z in range(m))
+
+    def assign(k, maxc):
+        if k == m:
+            if compatible():
+                found.append(_blocks_from_classes(tuple(cls)))
+            return
+        for c in range(maxc + 2):
+            cls[k] = c
+            if compatible_prefix(k):
+                assign(k + 1, max(maxc, c))
+
+    assign(0, -1)
+    found.sort(key=lambda th: (-len(th.blocks), th.class_of()))
+    return found
+
+
+@settings(deadline=None, max_examples=60)
+@given(algebras(max_size=12))
+def test_congruences_match_the_partition_scan(a):
+    assert congruences(a) == congruences_partition_scan(a)
+
+
+@pytest.mark.parametrize("factor, k, count", [(2, 3, 8), (1, 5, 32)])
+def test_congruences_of_a_power_within_a_second(factor, k, count):
+    a = power(chain_algebra(factor), k)
+    start = time.perf_counter()
+    assert len(congruences(a)) == count
+    assert time.perf_counter() - start < 1
 
 
 def preserves(a, b, m):

@@ -4,14 +4,14 @@ from itertools import permutations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmvdual.algebra import (all_subalgebra_carriers, chain_algebra,
-                             hom_enumerate, power, restrict,
-                             subalgebra_generated)
+from pmvdual.algebra import (_blocks_from_classes, all_subalgebra_carriers,
+                             chain_algebra, congruences, hom_enumerate, power,
+                             restrict, subalgebra_generated)
 from pmvdual.algebra import product as algebra_product
 from pmvdual.duality import (MembershipReport, StructMorphism, StructSpace,
                              alter_ego, congruence_substructure_check,
-                             disjoint_union, dual_algebra, dual_space,
-                             empty_space, evaluation_e, evaluation_eps,
+                             disjoint_union, dual_algebra, dual_points,
+                             dual_space, empty_space, evaluation_e, evaluation_eps,
                              relation_keys, spaces_isomorphic,
                              struct_morphism_maps, struct_space_to_dot,
                              x2_axiom_check, xn_membership)
@@ -150,6 +150,45 @@ def test_congruence_substructure_antiisomorphism():
     assert congruence_substructure_check(chain_algebra(2), 2)
     assert congruence_substructure_check(power(chain_algebra(2), 2), 2)
     assert congruence_substructure_check(chain_algebra(4), 4)
+
+
+def oracle_congruence_substructure_check(a, n):
+    """The check with every pair of subsets compared: each theta(S) a
+    congruence, as many as the congruences, and S1 <= S2 iff theta(S2)
+    refines theta(S1)."""
+    homs = dual_points(a, n)
+    cons = set(congruences(a))
+    p = len(homs)
+    seen = {}
+    for mask in range(1 << p):
+        subset = [i for i in range(p) if mask >> i & 1]
+        theta = _blocks_from_classes(
+            [tuple(homs[i](t) for i in subset) for t in range(a.size)])
+        seen[frozenset(subset)] = theta
+        if theta not in cons:
+            return False
+    if len(set(seen.values())) != len(cons):
+        return False
+
+    def refines(fine, coarse):
+        cls = coarse.class_of()
+        return all(len({cls[t] for t in bl}) == 1 for bl in fine.blocks)
+
+    return all((s1 <= s2) == refines(seen[s2], seen[s1])
+               for s1 in seen for s2 in seen)
+
+
+def test_congruence_substructure_check_matches_the_oracle(suite, cube_suite):
+    # last, three algebras outside the quasi-variety: two with no point,
+    # and PL_2 x PL_3 at n = 2, with one point and four congruences
+    cases = suite + [(2, a) for a in cube_suite] + [
+        (n, chain_algebra(n)) for n in (1, 2, 3, 4)] + [
+        (2, chain_algebra(4)), (3, power(chain_algebra(2), 2)),
+        (2, algebra_product(chain_algebra(2), chain_algebra(3)))]
+    verdicts = [congruence_substructure_check(a, n) for n, a in cases]
+    assert verdicts == [oracle_congruence_substructure_check(a, n)
+                        for n, a in cases]
+    assert verdicts.count(False) == 3 and not any(verdicts[-3:])
 
 
 def test_disjoint_union_and_space_isomorphism():
