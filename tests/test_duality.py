@@ -11,8 +11,8 @@ from pmvdual.algebra import product as algebra_product
 from pmvdual.duality import (MembershipReport, StructMorphism, StructSpace,
                              alter_ego, congruence_substructure_check,
                              disjoint_union, dual_algebra, dual_points,
-                             dual_space, empty_space, evaluation_e, evaluation_eps,
-                             relation_keys, spaces_isomorphic,
+                             dual_space, empty_space, evaluation_e,
+                             evaluation_eps, relation_keys, spaces_isomorphic,
                              struct_morphism_maps, struct_space_to_dot,
                              x2_axiom_check, xn_membership)
 from pmvdual.errors import NonMemberError, WrongSignatureError
