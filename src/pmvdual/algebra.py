@@ -17,7 +17,7 @@ its last few searches, since a dual space often follows a hom search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, repeat
 from math import prod
@@ -59,7 +59,7 @@ class FinAlgebra:
     odot: Table
     zero: int
     one: int
-    label: str = ""
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         _validate(self)
@@ -70,18 +70,6 @@ class FinAlgebra:
     def relabel(self, label: str) -> "FinAlgebra":
         return _trusted(FinAlgebra, self.size, self.meet, self.join,
                         self.oplus, self.odot, self.zero, self.one, label)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinAlgebra):
-            return NotImplemented
-        return (self.size, self.meet, self.join, self.oplus, self.odot,
-                self.zero, self.one) == (other.size, other.meet, other.join,
-                                         other.oplus, other.odot, other.zero,
-                                         other.one)
-
-    def __hash__(self):
-        return hash((self.size, self.meet, self.join, self.oplus, self.odot,
-                     self.zero, self.one))
 
     def to_json(self) -> dict:
         return {
@@ -244,16 +232,14 @@ def _light(t: Table) -> bool:
 
 @lru_cache(maxsize=None)
 def chain_algebra(n: int) -> FinAlgebra:
-    """The chain itself as a table algebra; element i is the numerator i."""
-    c = Chain(n)
-    size = n + 1
-
-    def tab(name):
-        return tuple(tuple(c.op(name, x, y) for y in range(size))
-                     for x in range(size))
-
-    return FinAlgebra(size, tab("meet"), tab("join"), tab("oplus"),
-                      tab("odot"), 0, n, label=f"PL{n}")
+    """The chain itself as a table algebra; element i is the numerator i.
+    Its tables are the chain's operations: meet, join, truncated sum
+    min(1, x + y) and truncated product max(0, x + y - 1)."""
+    rng = Chain(n).elements
+    ops = (min, max, lambda x, y: min(n, x + y),
+           lambda x, y: max(0, x + y - n))
+    tables = [tuple(tuple(op(x, y) for y in rng) for x in rng) for op in ops]
+    return FinAlgebra(n + 1, *tables, 0, n, label=f"PL{n}")
 
 
 def _trusted(cls, *values):
@@ -355,18 +341,24 @@ def trivial_algebra() -> FinAlgebra:
 
 def generated_carrier(a: FinAlgebra, gens) -> tuple[int, ...]:
     """Smallest subset containing gens and both constants, closed under ops."""
-    carrier = set(gens) | {a.zero, a.one}
-    frontier = list(carrier)
+    return _close(a, set(), set(gens) | {a.zero, a.one})
+
+
+def _close(a: FinAlgebra, closed: set, new) -> tuple[int, ...]:
+    """The subuniverse generated by the closed set and the elements new,
+    sorted; closed is extended in place.  Each element, when it joins,
+    is multiplied by everything present then, and every later element by
+    it in turn; every table is commutative, so t[x][y] covers both."""
+    frontier = list(set(new) - closed)
+    closed.update(frontier)
+    tables = [a.table(name) for name in OP_NAMES]
     while frontier:
         x = frontier.pop()
-        for name in OP_NAMES:
-            t = a.table(name)
-            for y in list(carrier):
-                for z in (t[x][y], t[y][x]):
-                    if z not in carrier:
-                        carrier.add(z)
-                        frontier.append(z)
-    return tuple(sorted(carrier))
+        for t in tables:
+            made = set(map(t[x].__getitem__, closed)) - closed
+            closed |= made
+            frontier += made
+    return tuple(sorted(closed))
 
 
 def restrict(a: FinAlgebra, carrier, label: str = "") -> FinAlgebra:
@@ -379,17 +371,15 @@ def subalgebra_generated(a: FinAlgebra, gens) -> FinAlgebra:
 
 
 def all_subalgebra_carriers(a: FinAlgebra) -> list[tuple[int, ...]]:
-    """Every subuniverse, found by one-point extension from the constants."""
+    """Every subuniverse, found by one-point extension from the constants;
+    an extension is closed from its one new element."""
     bottom = generated_carrier(a, ())
     seen = {bottom}
     frontier = [bottom]
     while frontier:
         carrier = frontier.pop()
-        members = set(carrier)
-        for x in range(a.size):
-            if x in members:
-                continue
-            bigger = generated_carrier(a, members | {x})
+        for x in set(range(a.size)).difference(carrier):
+            bigger = _close(a, set(carrier), (x,))
             if bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)
@@ -625,17 +615,6 @@ class Embedding:
     n: int
     k: int
     vectors: tuple[tuple[int, ...], ...]   # one k-tuple of numerators per element
-
-    def materialize_hom(self, a: FinAlgebra) -> Hom:
-        target = power(chain_algebra(self.n), self.k)
-        base = self.n + 1
-        indices = []
-        for vec in self.vectors:
-            idx = 0
-            for v in vec:
-                idx = idx * base + v
-            indices.append(idx)
-        return Hom(a, target, tuple(indices))
 
 
 def pmv_membership(a: FinAlgebra, n: int) -> Embedding | None:

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
 
-from .algebra import FinAlgebra
-from .duality import (StructSpace, _space_of_points, dual_points,
-                      struct_morphism_maps, xn_membership)
+from .algebra import FinAlgebra, pmv_membership
+from .duality import (StructSpace, dual_space, struct_morphism_maps,
+                      xn_membership)
 from .errors import NonMemberError
 from .relations import compute_Sn, leq_rel, top_seq
 from .search import constraint_maps
@@ -188,12 +188,11 @@ def dual_shape_report(x: StructSpace) -> ClosureReport:
 def _member_dual_space(a: FinAlgebra, n: int) -> StructSpace:
     """The dual space, once its points are seen to separate the elements,
     that is, once the algebra is seen to be a member."""
-    homs = dual_points(a, n)
-    if len({tuple(h(t) for h in homs) for t in range(a.size)}) < a.size:
+    if pmv_membership(a, n) is None:
         raise NonMemberError(
             f"algebra is not in the quasi-variety of PL_{n}: its dual "
             f"points do not separate its elements")
-    return _space_of_points(homs, n)
+    return dual_space(a, n)
 
 
 def is_algebraically_closed(a: FinAlgebra, n: int) -> ClosureReport:

@@ -254,8 +254,7 @@ class EvalEpsReport:
 
 def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
     """The map x |-> (alpha |-> alpha(x)) into the double dual space."""
-    _expect_n(x, n)
-    member = _separation(x)
+    member = xn_membership(x, n)
     if not member.member:
         raise NonMemberError(f"space fails membership: {member.witness}")
     elems = dual_algebra_elements(x)
@@ -290,21 +289,12 @@ class MembershipReport:
 
 def xn_membership(x: StructSpace, n: int) -> MembershipReport:
     """Separation test: morphisms into the dualizing structure must
-    distinguish distinct points and avoid every absent relation pair."""
+    distinguish distinct points and avoid every absent relation pair.
+    The witness is the first pair p < q that no morphism separates,
+    else, key by key, the first absent pair that every morphism sends
+    into the relation."""
     _expect_n(x, n)
-    return _separation(x)
-
-
-def _expect_n(x: StructSpace, n: int) -> None:
-    if x.n != n:
-        raise WrongSignatureError(f"space has n={x.n}, expected {n}")
-
-
-def _separation(x: StructSpace) -> MembershipReport:
-    """The first pair p < q that no morphism into the alter ego
-    separates, else, key by key, the first absent pair that every
-    morphism sends into the relation."""
-    ae, (distinct, outside) = alter_ego(x.n), _avoided(x.n)
+    ae, (distinct, outside) = alter_ego(n), _avoided(n)
     filed = file_constraints(x.size, ae.size, _morphism_constraints(x, ae))
     points = range(x.size)
     witness = _first_unmet(filed, chain(
@@ -314,6 +304,11 @@ def _separation(x: StructSpace) -> MembershipReport:
          for key in sorted(x.relations) for p in points for q in points
          if (p, q) not in x.relations[key])))
     return MembershipReport(witness is None, witness)
+
+
+def _expect_n(x: StructSpace, n: int) -> None:
+    if x.n != n:
+        raise WrongSignatureError(f"space has n={x.n}, expected {n}")
 
 
 def _first_unmet(filed: Filed, checks) -> tuple | None:

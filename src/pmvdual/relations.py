@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
+from operator import le
 
-from .algebra import FinAlgebra, chain_algebra, generated_carrier, power
+from .algebra import (FinAlgebra, all_subalgebra_carriers, chain_algebra,
+                      generated_carrier, power, restrict)
 from .chain import Chain, Subalgebra, chain_subalgebras
 from .errors import (BudgetExceededError, MalformedSequenceError,
                      NotASubalgebraError, SizeLimitError)
@@ -214,7 +216,7 @@ def good_sequence_witness(seq: GoodSeq, mode: str = "corner") -> SeqWitness | No
     if mode not in ("corner", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = seq.n
-    c = Chain(n)
+    pl = chain_algebra(n)
     if mode == "full":
         indices = list(range(1, n))
     else:
@@ -222,8 +224,9 @@ def good_sequence_witness(seq: GoodSeq, mode: str = "corner") -> SeqWitness | No
     for j in indices:
         for jp in indices:
             for op in ("odot", "oplus"):
-                a = c.op(op, j, jp)
-                b = c.op(op, seq.value(j), seq.value(jp))
+                t = pl.table(op)
+                a = t[j][jp]
+                b = t[seq.value(j)][seq.value(jp)]
                 if b < seq.value(a):
                     return SeqWitness(op, (j, seq.value(j)),
                                       (jp, seq.value(jp)), (a, b))
@@ -237,22 +240,13 @@ def is_good_sequence(seq: GoodSeq, mode: str = "corner") -> bool:
 # -- the relation lattice -------------------------------------------------------
 
 def candidate_sequences(n: int) -> list[GoodSeq]:
-    """Step 1: all nondecreasing sequences with i/n <= y_i."""
-    out: list[GoodSeq] = []
-
-    def extend(prefix: list[int]) -> None:
-        i = len(prefix) + 1
-        if i == n:
-            out.append(GoodSeq(n, tuple(prefix)))
-            return
-        lo = max(i, prefix[-1] if prefix else 0)
-        for v in range(lo, n + 1):
-            extend(prefix + [v])
-
-    extend([])
-    # descending lexicographic: bottom (all 1) first, top (i/n) last
-    out.sort(key=lambda s: s.y, reverse=True)
-    return out
+    """Step 1: all nondecreasing sequences with i/n <= y_i, in descending
+    lexicographic order: bottom (all 1) first, top (i/n) last."""
+    if n < 1:
+        return []
+    return [GoodSeq(n, y) for y in sorted(
+        combinations_with_replacement(range(1, n + 1), n - 1), reverse=True)
+        if all(map(le, range(1, n), y))]
 
 
 @dataclass(frozen=True)
@@ -398,22 +392,14 @@ def _close_pairs(n: int, seed) -> frozenset[Pair]:
 
 def square_subalgebras_oracle(n: int) -> list[BinRel]:
     """All subalgebras of the chain square contained in the order: the
-    closure of the constants, then the closure of every extension of a
-    found one by one more pair of the order."""
+    subuniverses of the order, itself a subalgebra of the square, with
+    (x, y) coded as in _close_pairs."""
     if n > ORACLE_MAX_N:
         raise SizeLimitError(f"oracle supports n <= {ORACLE_MAX_N}, got {n}")
-    leq_pairs = leq_rel(n).pairs
-    bottom = _close_pairs(n, frozenset())
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        cur = frontier.pop()
-        for p in leq_pairs - cur:
-            bigger = _close_pairs(n, cur | {p})
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
-    rels = [BinRel(n, pairs) for pairs in seen]
+    codes = sorted(x * (n + 1) + y for (x, y) in leq_rel(n).pairs)
+    rels = [BinRel(n, frozenset(divmod(codes[i], n + 1) for i in carrier))
+            for carrier in all_subalgebra_carriers(
+                restrict(_chain_square(n), codes))]
     rels.sort(key=lambda r: (len(r.pairs), sorted(r.pairs)))
     return rels
 
@@ -424,26 +410,6 @@ def is_diagonal_of_subalgebra(r: BinRel) -> bool:
     carrier = frozenset(x for (x, _) in r.pairs)
     return any(frozenset(s.carrier) == carrier
                for s in chain_subalgebras(Chain(r.n)))
-
-
-def oracle_classify(r: BinRel) -> str:
-    """Shape of an oracle relation: diagonal or restriction form.
-
-    A non-diagonal subalgebra of the order sits between the restricted
-    minimal relation and the restricted order on the product of its
-    projections.
-    """
-    if is_diagonal_of_subalgebra(r):
-        return "diagonal"
-    pr1 = sorted({x for (x, _) in r.pairs})
-    pr2 = sorted({y for (_, y) in r.pairs})
-    s_pairs = frozenset((x, y) for x in pr1 for y in pr2)
-    lhd_s = lhd_rel(r.n).pairs & s_pairs
-    leq_s = leq_rel(r.n).pairs & s_pairs
-    if lhd_s <= r.pairs <= leq_s:
-        return "restriction"
-    raise NotASubalgebraError(
-        "relation is neither a diagonal nor of restriction form")
 
 
 def classify_square_subalgebra(r: BinRel) -> str:

@@ -5,7 +5,7 @@ from itertools import permutations
 
 from pmvdual.algebra import (chain_algebra, hom_enumerate, is_isomorphic,
                              power, product, restrict)
-from pmvdual.chain import Chain, chain_subalgebras, divisors, subalgebra_oracle
+from pmvdual.chain import Chain, chain_subalgebras, divisors
 from pmvdual.cli import main as cli_main
 from pmvdual.closure import (_labeled_posets, enumerate_xn_structures,
                              fhp_star_check)
@@ -23,6 +23,7 @@ from pmvdual.skeleton import (Poset, boolean_lattice, boolean_power,
 from pmvdual.closure import is_algebraically_closed, is_existentially_closed
 
 from conftest import chain_lattice
+from test_chain import subalgebra_oracle
 
 RESULTS = {}
 

@@ -135,7 +135,10 @@ def test_pmv_membership_separating_embedding():
     a = power(chain_algebra(2), 2)
     emb = pmv_membership(a, 2)
     assert emb is not None and emb.k == 2
-    hom = emb.materialize_hom(a)
+    # element i of the power is the vector of its base-(n + 1) digits
+    index = tuple(reduce(lambda i, v: i * (emb.n + 1) + v, vec, 0)
+                  for vec in emb.vectors)
+    hom = Hom(a, power(chain_algebra(emb.n), emb.k), index)
     assert hom.injective
 
 
@@ -157,6 +160,80 @@ def test_isomorphism_search():
 def test_json_roundtrip():
     a = power(chain_algebra(2), 2)
     assert FinAlgebra.from_json(a.to_json()) == a
+
+
+def test_equality_and_hash_ignore_the_label():
+    a = power(chain_algebra(2), 2)
+    b = a.relabel("x")
+    assert b.label == "x" != a.label
+    assert b == a and hash(b) == hash(a)
+    odot = [list(row) for row in a.odot]
+    odot[1][2] = 0
+    changed = _trusted(FinAlgebra, a.size, a.meet, a.join, a.oplus,
+                       tuple(map(tuple, odot)), a.zero, a.one, a.label)
+    assert changed != a and a != changed
+
+
+# -- closures against the two-sided, from-scratch oracles ------------------------
+
+def oracle_generated_carrier(a, gens):
+    """Smallest subset containing gens and both constants, closed under
+    ops: each new x is multiplied on both sides by everything present."""
+    carrier = set(gens) | {a.zero, a.one}
+    frontier = list(carrier)
+    while frontier:
+        x = frontier.pop()
+        for name in OP_NAMES:
+            t = a.table(name)
+            for y in list(carrier):
+                for z in (t[x][y], t[y][x]):
+                    if z not in carrier:
+                        carrier.add(z)
+                        frontier.append(z)
+    return tuple(sorted(carrier))
+
+
+def oracle_subalgebra_carriers(a):
+    """Every subuniverse, by one-point extension from the constants, each
+    extension closed from scratch."""
+    bottom = oracle_generated_carrier(a, ())
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        carrier = frontier.pop()
+        members = set(carrier)
+        for x in range(a.size):
+            if x in members:
+                continue
+            bigger = oracle_generated_carrier(a, members | {x})
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    return sorted(seen, key=lambda c: (len(c), c))
+
+
+@lru_cache(maxsize=None)
+def closure_algebras():
+    """PL_2^3, PL_3^2 and PL_4 x PL_2."""
+    return (power(chain_algebra(2), 3), power(chain_algebra(3), 2),
+            product(chain_algebra(4), chain_algebra(2)))
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_all_subalgebra_carriers_match_the_from_scratch_oracle(which):
+    a = closure_algebras()[which]
+    assert all_subalgebra_carriers(a) == oracle_subalgebra_carriers(a)
+
+
+@given(st.data())
+def test_closures_match_the_two_sided_oracle(data):
+    a = data.draw(st.sampled_from(closure_algebras()))
+    gens = data.draw(st.lists(st.integers(0, a.size - 1), max_size=4))
+    whole = oracle_generated_carrier(a, gens)
+    assert generated_carrier(a, gens) == whole
+    # a closed set extended by one generator, closed from that one only
+    closed = oracle_generated_carrier(a, gens[1:])
+    assert algebra._close(a, set(closed), gens[:1]) == whole
 
 
 def test_hom_validation():

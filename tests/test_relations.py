@@ -3,16 +3,19 @@ import pytest
 from pmvdual.chain import Subalgebra
 from pmvdual.errors import (MalformedSequenceError, NotASubalgebraError,
                             SizeLimitError)
-from pmvdual.relations import (BinRel, GoodSeq, adjudicate_n4_discrepancy,
-                               bottom_seq, candidate_sequences,
+from pmvdual.relations import (BinRel, GoodSeq, _chain_square,
+                               adjudicate_n4_discrepancy, bottom_seq,
+                               candidate_sequences,
                                classify_square_subalgebra, compute_Sn,
                                format_frac, good_sequence_witness,
-                               is_good_sequence, is_square_subalgebra,
-                               leq_rel, lhd_rel, meet_irreducibles,
-                               oracle_classify, parse_seq_label, rectangle,
+                               is_diagonal_of_subalgebra, is_good_sequence,
+                               is_square_subalgebra, leq_rel, lhd_rel,
+                               meet_irreducibles, parse_seq_label, rectangle,
                                rel_lattice_to_dot, rel_to_seq, seq_to_rel,
                                sn_relations, square_subalgebras_oracle,
                                top_seq)
+
+from test_algebra import oracle_generated_carrier
 
 
 def test_lhd_and_leq():
@@ -167,10 +170,63 @@ def test_oracle_counts():
         square_subalgebras_oracle(7)
 
 
+def oracle_classify(r: BinRel) -> str:
+    """Shape of an oracle relation: diagonal or restriction form.
+
+    A non-diagonal subalgebra of the order sits between the restricted
+    minimal relation and the restricted order on the product of its
+    projections.
+    """
+    if is_diagonal_of_subalgebra(r):
+        return "diagonal"
+    pr1 = sorted({x for (x, _) in r.pairs})
+    pr2 = sorted({y for (_, y) in r.pairs})
+    s_pairs = frozenset((x, y) for x in pr1 for y in pr2)
+    lhd_s = lhd_rel(r.n).pairs & s_pairs
+    leq_s = leq_rel(r.n).pairs & s_pairs
+    if lhd_s <= r.pairs <= leq_s:
+        return "restriction"
+    raise NotASubalgebraError(
+        "relation is neither a diagonal nor of restriction form")
+
+
 def test_oracle_classification():
     for n in range(1, 5):
         for r in square_subalgebras_oracle(n):
             assert oracle_classify(r) in ("diagonal", "restriction")
+
+
+def oracle_close_pairs(n, seed):
+    """The subalgebra of the chain square generated by the pairs, closed
+    by the two-sided oracle, with (x, y) coded as x (n + 1) + y."""
+    carrier = oracle_generated_carrier(_chain_square(n),
+                                       [x * (n + 1) + y for (x, y) in seed])
+    return frozenset(divmod(c, n + 1) for c in carrier)
+
+
+def frontier_square_subalgebras(n):
+    """The subalgebras of the chain square inside the order, found by
+    closing the constants, then every extension of a found one by one
+    more pair of the order, each from scratch."""
+    leq_pairs = leq_rel(n).pairs
+    bottom = oracle_close_pairs(n, frozenset())
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        cur = frontier.pop()
+        for p in leq_pairs - cur:
+            bigger = oracle_close_pairs(n, cur | {p})
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    rels = [BinRel(n, pairs) for pairs in seen]
+    rels.sort(key=lambda r: (len(r.pairs), sorted(r.pairs)))
+    return rels
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_square_oracle_matches_the_frontier_search(n):
+    assert square_subalgebras_oracle(n) == frontier_square_subalgebras(n)
 
 
 def test_classify_square_subalgebra():
