@@ -27,7 +27,7 @@ from .chain import OP_NAMES, Chain
 from .errors import (AxiomViolationError, BudgetExceededError,
                      InternalConsistencyError, MalformedInputError, as_int,
                      require_keys)
-from .search import Filed, _table, injective, walk
+from .search import Filed, _table, closed_sets, injective, walk
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -373,17 +373,9 @@ def subalgebra_generated(a: FinAlgebra, gens) -> FinAlgebra:
 def all_subalgebra_carriers(a: FinAlgebra) -> list[tuple[int, ...]]:
     """Every subuniverse, found by one-point extension from the constants;
     an extension is closed from its one new element."""
-    bottom = generated_carrier(a, ())
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        carrier = frontier.pop()
-        for x in set(range(a.size)).difference(carrier):
-            bigger = _close(a, set(carrier), (x,))
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
-    return sorted(seen, key=lambda c: (len(c), c))
+    return sorted(closed_sets(generated_carrier(a, ()), lambda c: (
+        _close(a, set(c), (x,)) for x in set(range(a.size)).difference(c))),
+        key=lambda c: (len(c), c))
 
 
 # -- homomorphisms ---------------------------------------------------------
@@ -588,15 +580,8 @@ def congruences(a: FinAlgebra) -> list[Congruence]:
     tables = [a.table(name) for name in OP_NAMES]
     principals = {_classes(list(rng), [pair], tables)
                   for pair in _order(a.meet)[1]}
-    found = {tuple(rng)}
-    frontier = list(found)
-    while frontier:
-        theta = frontier.pop()
-        for p in principals:
-            joined = _classes(list(theta), enumerate(p), ())
-            if joined not in found:
-                found.add(joined)
-                frontier.append(joined)
+    found = closed_sets(tuple(rng), lambda theta: (
+        _classes(list(theta), enumerate(p), ()) for p in principals))
     return sorted(map(_blocks_from_classes, found),
                   key=lambda th: (-len(th.blocks), th.class_of()))
 

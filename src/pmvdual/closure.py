@@ -3,14 +3,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, permutations
+from itertools import compress, permutations, product
 
-from .algebra import FinAlgebra, pmv_membership
-from .duality import (StructSpace, dual_space, struct_morphism_maps,
-                      xn_membership)
+from .algebra import DEFAULT_HOM_BUDGET, FinAlgebra, pmv_membership
+from .duality import (StructSpace, _space_of_points, alter_ego, dual_space,
+                      relation_keys, struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
-from .relations import compute_Sn, leq_rel, top_seq
-from .search import constraint_maps
+from .relations import leq_rel, top_seq
+from .search import closed_sets, constraint_maps
 
 Pair = tuple[int, int]
 
@@ -70,16 +70,14 @@ def _labeled_posets(size: int) -> list[frozenset[Pair]]:
 @lru_cache(maxsize=None)
 def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
     """All members of the dual category with at most max_size points, the
-    first of each isomorphism class among the candidates: a labelled order
-    and a subset of it for each other relation, monotone in the relation
-    lattice.  Membership does not change under relabelling, so each class
-    is decided once: an order isomorphic to an earlier one is skipped, and
-    two candidates on one order are isomorphic when an automorphism of it
-    maps one to the other."""
-    lat = compute_Sn(n)
-    # the relations in candidate order: the order first
-    ranks = sorted(range(len(lat.elements)),
-                   key=lambda i: lat.elements[i] != top_seq(n))
+    first of each isomorphism class, fewest pairs first.  Pulling each
+    relation back along the morphisms into the alter ego is a closure
+    operator on the cells (relation, pair), so the members on one order
+    are the closed sets whose order part is the order (antisymmetric, so
+    it separates the points).  An order isomorphic to an earlier one is
+    skipped, and two members on one order are isomorphic when an
+    automorphism of it maps one to the other."""
+    keys, ae = relation_keys(n), alter_ego(n).relations   # the order last
     found: list[StructSpace] = []
     seen_orders: set[frozenset[Pair]] = set()
     for size in range(max_size + 1):
@@ -91,37 +89,38 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
                       for m in perms]
             seen_orders.update(images)
             pairs, w = sorted(order), len(order)
-            # the automorphisms, as permutations of the search points
+            # cell t * w + i: pair i in the t-th relation
+            cells = list(product(keys, pairs))
+
+            def close(bits: tuple[bool, ...]) -> tuple[bool, ...] | None:
+                homs = constraint_maps(size, n + 1, [
+                    (pair, ae[key]) for key, pair in compress(cells, bits)],
+                    DEFAULT_HOM_BUDGET)
+                x = _space_of_points(list(zip(*homs)), n)
+                return None if x.order_pairs != order else tuple(
+                    pair in x.relations[key] for key, pair in cells)
+
+            def rows(bits: tuple[bool, ...]) -> list[tuple[bool, ...]]:
+                return [bits[t * w:(t + 1) * w] for t in range(len(keys))]
+
+            members = closed_sets(
+                close((False,) * (len(cells) - w) + (True,) * w),
+                lambda bits: (close(bits[:c] + (True,) + bits[c + 1:])
+                              for c, b in enumerate(bits) if not b))
+            # the automorphisms, as permutations of the cells
             autos = [[t * w + pairs.index((m[u], m[v]))
-                      for t in range(len(ranks)) for (u, v) in pairs]
+                      for t in range(len(keys)) for (u, v) in pairs]
                      for m, image in zip(perms, images) if image == order]
-            forms: set[tuple[int, ...]] = set()
-            for bits in _monotone_subsets(lat, ranks, w):
+            forms: set[tuple[bool, ...]] = set()
+            for bits in sorted(members, key=lambda b: [
+                    (sum(r), [-v for v in r]) for r in rows(b)]):
                 form = min(tuple(map(bits.__getitem__, a)) for a in autos)
                 if form not in forms:
                     forms.add(form)
-                    space = StructSpace(n, size, {
-                        lat.elements[k].y: frozenset(
-                            compress(pairs, bits[t * w:(t + 1) * w]))
-                        for t, k in enumerate(ranks)})
-                    if xn_membership(space, n).member:
-                        found.append(space)
+                    found.append(StructSpace(n, size, {
+                        key: frozenset(compress(pairs, r))
+                        for key, r in zip(keys, rows(bits))}))
     return tuple(found)
-
-
-def _monotone_subsets(lat, ranks: list[int], width: int) -> list[tuple]:
-    """The subsets of range(width) for the elements of lat in the order
-    ranks, the first whole, each inside those above it: maps whose point
-    t * width + i is 1 when i is in subset t, in combinations product order
-    (fewest first; at a tie, the one holding the first index that differs)."""
-    cells = [range(t * width, (t + 1) * width) for t in range(len(ranks))]
-    maps = constraint_maps(len(ranks) * width, 2, [
-        ((c,), frozenset({(1,)})) for c in cells[0]] + [
-        ((s * width + i, t * width + i), leq_rel(1).pairs)
-        for s, rs in enumerate(ranks) for t, rt in enumerate(ranks)
-        if s != t and lat.leq(rs, rt) for i in range(width)])
-    return sorted(maps, key=lambda m: [
-        (sum(m[c] for c in cs), [-m[c] for c in cs]) for cs in cells])
 
 
 # -- the dual closure properties ---------------------------------------------------

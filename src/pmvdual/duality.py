@@ -163,14 +163,13 @@ def spaces_isomorphic(x: StructSpace, y: StructSpace) -> bool:
 
 def dual_space(a: FinAlgebra, n: int) -> StructSpace:
     """Points are the homs into the chain; relations hold pointwise."""
-    return _space_of_points(dual_points(a, n), n)
+    return _space_of_points([h.map for h in dual_points(a, n)], n)
 
 
-def _space_of_points(homs: list[Hom], n: int) -> StructSpace:
-    """(i, j) is in a relation when each coordinate (u(t), v(t)) of the
-    points u = homs[i] and v = homs[j] is: the AND over t of bitmasks."""
+def _space_of_points(maps: list[tuple[int, ...]], n: int) -> StructSpace:
+    """(i, j) is in a relation when each coordinate (u[t], v[t]) of the
+    points u = maps[i] and v = maps[j] is: the AND over t of bitmasks."""
     keys, bits = _relation_bits(n)
-    maps = [h.map for h in homs]
     masks = [[reduce(and_, map(getitem, rows, v), -1) for v in maps]
              for rows in ([bits[x] for x in u] for u in maps)]
     return StructSpace(n, len(maps), {key: frozenset(
@@ -220,7 +219,7 @@ class EvalEReport:
 def evaluation_e(a: FinAlgebra, n: int) -> EvalEReport:
     """The map a |-> (u |-> u(a)) into the double dual."""
     homs = dual_points(a, n)
-    x = _space_of_points(homs, n)
+    x = _space_of_points([h.map for h in homs], n)
     elems = dual_algebra_elements(x)
     ealg = _dual_algebra(x, elems)
     images = _positions([tuple(u(t) for u in homs) for t in range(a.size)],
@@ -259,19 +258,16 @@ def evaluation_eps(x: StructSpace, n: int) -> EvalEpsReport:
         raise NonMemberError(f"space fails membership: {member.witness}")
     elems = dual_algebra_elements(x)
     ealg = _dual_algebra(x, elems)
-    ypoints = dual_points(ealg, n)
-    y = _space_of_points(ypoints, n)
+    ypoints = [h.map for h in dual_points(ealg, n)]
     images = _positions([tuple(e[pt] for e in elems) for pt in range(x.size)],
-                       [p.map for p in ypoints],
+                       ypoints,
                        "point evaluation is not a hom of the dual algebra")
-    points = range(x.size)
-    pulled = {key: {(u, v) for u in points for v in points
-                    if (images[u], images[v]) in y.relations[key]}
-              for key in x.relations}
+    # the relations of the double dual, pulled back to x
+    pulled = _space_of_points([ypoints[i] for i in images], n).relations
     preserving = all(x.relations[key] <= pulled[key] for key in pulled)
     reflecting = all(pulled[key] <= x.relations[key] for key in pulled)
     injective = len(set(images)) == x.size
-    surjective = set(images) == set(range(y.size))
+    surjective = len(set(images)) == len(ypoints)
     return EvalEpsReport(images, injective, surjective,
                          preserving, reflecting)
 

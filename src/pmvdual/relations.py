@@ -243,7 +243,7 @@ def candidate_sequences(n: int) -> list[GoodSeq]:
     """Step 1: all nondecreasing sequences with i/n <= y_i, in descending
     lexicographic order: bottom (all 1) first, top (i/n) last."""
     if n < 1:
-        return []
+        raise ValueError(f"n must be >= 1, got {n}")
     return [GoodSeq(n, y) for y in sorted(
         combinations_with_replacement(range(1, n + 1), n - 1), reverse=True)
         if all(map(le, range(1, n), y))]

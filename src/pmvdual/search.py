@@ -14,11 +14,14 @@ operation as its ternary graph; algebra._file_homs builds their set-up
 A search has two steps: file_constraints sets it up, walk lists the
 maps.  The membership test files a space's constraints once, then walks
 them for each pair of points with one more constraint on it (with_pair).
+
+closed_sets is the one worklist over a closure system (subuniverses,
+congruences, and the members of the dual category on one order).
 """
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -195,3 +198,17 @@ def isomorphism(size: int, relations: list[tuple[frozenset[Points],
     filed = file_constraints(size, size, [(points, tgt) for src, tgt in
                                           relations for points in src])
     return next(walk(injective(filed)), None)
+
+
+def closed_sets(bottom: Hashable, above: Callable) -> set:
+    """Every closed set reachable from the least one, bottom, by adding
+    one generator at a time: above(s) yields the closures of s with one
+    generator added, and None for a set outside the system."""
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        for bigger in above(frontier.pop()):
+            if bigger is not None and bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    return seen

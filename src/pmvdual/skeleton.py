@@ -82,7 +82,8 @@ def _priestley_dual(lat: FinAlgebra) -> tuple[list[Hom], Poset]:
     if not is_dist_lattice_algebra(lat):
         raise ValueError("priestley_dual expects an idempotent algebra")
     homs = dual_points(lat, 1)
-    return homs, Poset(len(homs), _space_of_points(homs, 1).order_pairs)
+    order = _space_of_points([h.map for h in homs], 1).order_pairs
+    return homs, Poset(len(homs), order)
 
 
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:

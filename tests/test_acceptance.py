@@ -4,7 +4,7 @@ import time
 from itertools import permutations
 
 from pmvdual.algebra import (chain_algebra, hom_enumerate, is_isomorphic,
-                             power, product, restrict)
+                             power, product)
 from pmvdual.chain import Chain, chain_subalgebras, divisors
 from pmvdual.cli import main as cli_main
 from pmvdual.closure import (_labeled_posets, enumerate_xn_structures,
@@ -14,8 +14,7 @@ from pmvdual.duality import (StructSpace, disjoint_union, dual_space,
                              x2_axiom_check, xn_membership)
 from pmvdual.relations import (GoodSeq, candidate_sequences, compute_Sn,
                                good_sequence_witness, is_good_sequence,
-                               lhd_rel, meet_irreducibles, rel_to_seq,
-                               square_subalgebras_oracle)
+                               lhd_rel, rel_to_seq, square_subalgebras_oracle)
 from pmvdual.skeleton import (Poset, boolean_lattice, boolean_power,
                               adjunction_check, poset_isomorphic,
                               priestley_dual, priestley_power, skeleton,

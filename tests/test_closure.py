@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -113,11 +114,21 @@ def test_enumeration_counts():
     assert len(enumerate_xn_structures(2, 1)) == 3
     assert len(enumerate_xn_structures(2, 2)) == 11
     assert len(enumerate_xn_structures(2, 3)) == 57
+    assert len(enumerate_xn_structures(2, 4)) == 441
     # at n = 1 the members are the posets: OEIS A000112, summed
     assert [len(enumerate_xn_structures(1, k)) for k in (3, 4, 5)] == \
         [9, 25, 88]
     assert [len(enumerate_xn_structures(3, k)) for k in (2, 3)] == [12, 78]
     assert [len(enumerate_xn_structures(4, k)) for k in (1, 2)] == [4, 30]
+
+
+def test_enumeration_at_four_points_and_n3_is_quick():
+    # about 40 s when every monotone candidate was decided; the bound is
+    # loose, since machine speed varies by up to 2x
+    enumerate_xn_structures.cache_clear()
+    start = time.perf_counter()
+    assert len(enumerate_xn_structures(4, 3)) == 535
+    assert time.perf_counter() - start < 10
 
 
 def test_enumeration_members_pass_membership():

@@ -74,6 +74,13 @@ def test_candidate_counts_are_catalan():
         [1, 2, 5, 14, 42, 132]
 
 
+@pytest.mark.parametrize("n", [-2, -1, 0])
+def test_candidates_and_Sn_reject_n_below_one(n):
+    for build in (candidate_sequences, compute_Sn):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}$"):
+            build(n)
+
+
 def test_good_sequence_examples_at_n4():
     assert is_good_sequence(GoodSeq(4, (2, 2, 4)), "corner")
     assert is_good_sequence(GoodSeq(4, (2, 2, 4)), "full")

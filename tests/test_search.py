@@ -1,11 +1,11 @@
-from itertools import product
+from itertools import compress, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pmvdual.errors import BudgetExceededError
-from pmvdual.search import (constraint_maps, file_constraints, injective,
-                            walk, with_pair)
+from pmvdual.search import (closed_sets, constraint_maps, file_constraints,
+                            injective, walk, with_pair)
 
 
 @st.composite
@@ -57,3 +57,27 @@ def test_the_budget_counts_the_complete_maps_too():
     with pytest.raises(BudgetExceededError):
         list(constraint_maps(8, 5, [], 100_000))
     assert len(list(constraint_maps(6, 5, [], 100_000))) == 5 ** 6
+
+
+@settings(deadline=None, max_examples=200)
+@given(rules=st.lists(st.tuples(st.frozensets(st.integers(0, 5), max_size=2),
+                                st.integers(0, 5)), max_size=8),
+       banned=st.integers(0, 6))
+def test_closed_sets_are_the_closed_sets_of_a_brute_force(rules, banned):
+    """The subsets of range(6) closed under the implications premise ->
+    conclusion, where a set that holds banned is outside the system
+    (banned = 6 bans nothing)."""
+    def close(s):
+        while True:
+            more = s | {c for premise, c in rules if premise <= s}
+            if more == s:
+                return None if banned in s else s
+            s = more
+
+    bottom = close(frozenset())
+    assume(bottom is not None)
+    subsets = [frozenset(compress(range(6), bits))
+               for bits in product((0, 1), repeat=6)]
+    assert closed_sets(bottom, lambda s: (
+        close(s | {x}) for x in range(6) if x not in s)) == {
+        s for s in subsets if close(s) == s}
