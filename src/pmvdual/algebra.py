@@ -1,9 +1,9 @@
 """Finite algebras in the signature {meet, join, oplus, odot, 0, 1}.
 
 Covers both the bounded-distributive-lattice case (oplus = join,
-odot = meet) and the general chain-valued case.  An algebra given by its
-tables (algebra_from_tables, from_json, FinAlgebra(...)) is validated on
-construction in about generators x size^2 steps (_cubic_axioms_hold);
+odot = meet) and the general chain-valued case.  FinAlgebra(...), which
+algebra_from_tables and from_json call, is the one check of an algebra:
+in about generators x size^2 steps (_cubic_axioms_hold);
 the first violated axiom and its witness come from the ordered scan of
 triples, run only on failure.  Derived algebras (products, powers,
 subalgebras, pointwise algebras) are not validated again: the axioms are
@@ -62,6 +62,12 @@ class FinAlgebra:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
+        for name in OP_NAMES:
+            object.__setattr__(self, name, _as_table(getattr(self, name),
+                                                     self.size))
+        zero, one = as_int(self.zero, "zero"), as_int(self.one, "one")
+        if not (0 <= zero < self.size and 0 <= one < self.size):
+            raise AxiomViolationError("constants-range", (zero, one))
         _validate(self)
 
     def table(self, name: str) -> Table:
@@ -99,26 +105,18 @@ def algebra_from_tables(tables: dict, consts: dict, label: str = "") -> FinAlgeb
     """Build a validated algebra; rejects with the first violated axiom."""
     meet = tables["meet"]
     size = len(meet) if isinstance(meet, (list, tuple)) else 0
-    parsed = {name: _as_table(tables[name], size) for name in OP_NAMES}
-    zero, one = as_int(consts["zero"], "zero"), as_int(consts["one"], "one")
-    if not (0 <= zero < size and 0 <= one < size):
-        raise AxiomViolationError("constants-range", (zero, one))
-    a = _trusted(FinAlgebra, size, *parsed.values(), zero, one, label)
-    _validate(a, shaped=True)
-    return a
+    return FinAlgebra(size, *(tables[name] for name in OP_NAMES),
+                      consts["zero"], consts["one"], label)
 
 
-def _validate(a: FinAlgebra, shaped: bool = False) -> None:
-    """Raise the first violated axiom with its witness: the checks on
-    elements and pairs in order, then _cubic_axioms_hold, and only if it
-    fails the ordered scan of triples (shaped: _as_table has run)."""
+def _validate(a: FinAlgebra) -> None:
+    """Raise the first violated axiom of a, whose tables and constants
+    are in range, with its witness: the checks on elements and pairs in
+    order, then _cubic_axioms_hold, and only if it fails the scan."""
     if a.size ** 3 > DEFAULT_HOM_BUDGET:     # the triples of the scan
         raise BudgetExceededError(DEFAULT_HOM_BUDGET)
     m, j = a.meet, a.join
     rng = range(a.size)
-    if not shaped:
-        for name in OP_NAMES:
-            _as_table(a.table(name), a.size)
     for x in rng:
         if m[x][x] != x:
             raise AxiomViolationError("meet-idempotent", (x,))

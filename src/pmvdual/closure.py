@@ -5,7 +5,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations, product
 
-from .algebra import DEFAULT_HOM_BUDGET, FinAlgebra, pmv_membership
+from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, _trusted,
+                      pmv_membership)
 from .duality import (StructSpace, _space_of_points, alter_ego, dual_space,
                       relation_keys, struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
@@ -117,7 +118,7 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
                 form = min(tuple(map(bits.__getitem__, a)) for a in autos)
                 if form not in forms:
                     forms.add(form)
-                    found.append(StructSpace(n, size, {
+                    found.append(_trusted(StructSpace, n, size, {
                         key: frozenset(compress(pairs, r))
                         for key, r in zip(keys, rows(bits))}))
     return tuple(found)

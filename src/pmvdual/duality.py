@@ -12,8 +12,8 @@ from itertools import chain
 from operator import and_, getitem
 
 from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom,
-                      _blocks_from_classes, chain_algebra, congruences,
-                      hom_enumerate, pointwise_algebra)
+                      _blocks_from_classes, _trusted, chain_algebra,
+                      congruences, hom_enumerate, pointwise_algebra)
 from .errors import (InternalConsistencyError, MalformedInputError,
                      NonMemberError, WrongSignatureError, as_int,
                      require_keys)
@@ -29,40 +29,33 @@ def relation_keys(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s.y for s in compute_Sn(n).elements)
 
 
+@dataclass(frozen=True)
 class StructSpace:
     """Finite structured space: carrier {0..size-1} plus named pair sets."""
 
-    def __init__(self, n: int, size: int,
-                 relations: dict[tuple[int, ...], frozenset[Pair]]):
-        expected = set(relation_keys(n))
-        if set(relations) != expected:
+    n: int
+    size: int
+    relations: dict[tuple[int, ...], frozenset[Pair]] = field(repr=False)
+
+    def __post_init__(self):
+        expected = set(relation_keys(self.n))
+        if set(self.relations) != expected:
             raise WrongSignatureError(
-                f"expected relation names {sorted(expected)} for n={n}, "
-                f"got {sorted(relations)}")
-        for key, pairs in relations.items():
-            for (x, y) in pairs:
-                if not (0 <= x < size and 0 <= y < size):
-                    raise ValueError(f"pair {(x, y)} outside carrier of size {size}")
-        self.n = n
-        self.size = size
-        self.relations = {key: frozenset(pairs)
-                          for key, pairs in relations.items()}
+                f"expected relation names {sorted(expected)} for n={self.n}, "
+                f"got {sorted(self.relations)}")
+        for (x, y) in chain.from_iterable(self.relations.values()):
+            if not (0 <= x < self.size and 0 <= y < self.size):
+                raise ValueError(
+                    f"pair {(x, y)} outside carrier of size {self.size}")
+        object.__setattr__(self, "relations", {
+            key: frozenset(pairs) for key, pairs in self.relations.items()})
 
     def rel(self, key: tuple[int, ...]) -> frozenset[Pair]:
         return self.relations[key]
 
     @property
     def order_pairs(self) -> frozenset[Pair]:
-        return self.relations[top_seq(self.n).y]
-
-    def __eq__(self, other):
-        if not isinstance(other, StructSpace):
-            return NotImplemented
-        return (self.n, self.size, self.relations) == \
-            (other.n, other.size, other.relations)
-
-    def __repr__(self):
-        return f"StructSpace(n={self.n}, size={self.size})"
+        return self.relations[tuple(range(1, self.n))]
 
     def canonical_form(self) -> tuple:
         return (self.n, self.size,
@@ -122,7 +115,8 @@ class StructMorphism:
 
 
 def empty_space(n: int) -> StructSpace:
-    return StructSpace(n, 0, {key: frozenset() for key in relation_keys(n)})
+    return _trusted(StructSpace, n, 0,
+                    {key: frozenset() for key in relation_keys(n)})
 
 
 def disjoint_union(x: StructSpace, y: StructSpace) -> StructSpace:
@@ -132,14 +126,14 @@ def disjoint_union(x: StructSpace, y: StructSpace) -> StructSpace:
     rels = {key: x.relations[key]
             | frozenset((u + x.size, v + x.size) for (u, v) in y.relations[key])
             for key in x.relations}
-    return StructSpace(x.n, x.size + y.size, rels)
+    return _trusted(StructSpace, x.n, x.size + y.size, rels)
 
 
 @lru_cache(maxsize=None)
 def alter_ego(n: int) -> StructSpace:
     """The dualizing structure: the chain carrier with every lattice relation."""
     rels = {key: rel.pairs for key, rel in sn_relations(n).items()}
-    return StructSpace(n, n + 1, rels)
+    return _trusted(StructSpace, n, n + 1, rels)
 
 
 def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
@@ -172,7 +166,7 @@ def _space_of_points(maps: list[tuple[int, ...]], n: int) -> StructSpace:
     keys, bits = _relation_bits(n)
     masks = [[reduce(and_, map(getitem, rows, v), -1) for v in maps]
              for rows in ([bits[x] for x in u] for u in maps)]
-    return StructSpace(n, len(maps), {key: frozenset(
+    return _trusted(StructSpace, n, len(maps), {key: frozenset(
         (i, j) for i, row in enumerate(masks) for j, m in enumerate(row)
         if m >> k & 1) for k, key in enumerate(keys)})
 
@@ -402,6 +396,8 @@ def congruence_substructure_check(a: FinAlgebra, n: int) -> bool:
     """
     homs = dual_points(a, n)
     cons = set(congruences(a))
+    if len(cons) != 1 << len(homs):
+        return False
     thetas = set()
     for mask in range(1 << len(homs)):
         subset = [h for i, h in enumerate(homs) if mask >> i & 1]
@@ -410,7 +406,7 @@ def congruence_substructure_check(a: FinAlgebra, n: int) -> bool:
         if theta not in cons:
             return False
         thetas.add(theta)
-    return len(thetas) == len(cons) == 1 << len(homs)
+    return len(thetas) == len(cons)
 
 
 # -- DOT export ------------------------------------------------------------------

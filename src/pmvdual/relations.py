@@ -11,8 +11,8 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from operator import le
 
-from .algebra import (FinAlgebra, all_subalgebra_carriers, chain_algebra,
-                      generated_carrier, power, restrict)
+from .algebra import (FinAlgebra, _trusted, all_subalgebra_carriers,
+                      chain_algebra, generated_carrier, power, restrict)
 from .chain import Chain, Subalgebra, chain_subalgebras
 from .errors import (BudgetExceededError, MalformedSequenceError,
                      NotASubalgebraError, SizeLimitError)
@@ -362,8 +362,8 @@ def compute_Sn(n: int) -> RelLattice:
     # element, the order itself) stays by convention
     irr = [len(cov) == 1 for cov in covers]
     irr[-1] = True
-    return RelLattice(n, tuple(GoodSeq(n, y) for y in ys), tuple(covers),
-                      tuple(irr))
+    return RelLattice(n, tuple(_trusted(GoodSeq, n, y) for y in ys),
+                      tuple(covers), tuple(irr))
 
 
 def meet_irreducibles(lat: RelLattice) -> list[GoodSeq]:

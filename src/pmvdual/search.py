@@ -78,19 +78,13 @@ def file_constraints(size: int, target_size: int,
                      constraints: Iterable[Constraint]) -> Filed:
     """The set-up of a search.  Each constraint is filed under its
     largest point p as one table of bitmasks of the images of p, indexed
-    by the images of its other points; a table is built once per shape
-    and allowed set, and the tables of constraints on the same points
-    are merged.  A choice for p then checks only the constraints that
+    by the images of its other points; a table comes from _table's
+    cache, by shape and allowed set, and the tables of constraints on
+    the same points are merged.  A choice for p then checks only the constraints that
     end at p."""
     t = target_size
     own = [(1 << t) - 1] * size
-    # the tables of this search: an allowed set met again is the same
-    # object, which the shared cache would compare element by element
-    tables: dict[tuple[Points, frozenset[Points]], tuple[int, ...]] = {}
     merged: dict[Points, tuple[int, ...]] = {}
-    # the meet of two tables by their identities, kept with the two
-    # tables so that neither identity can be reused during the set-up
-    meets: dict[tuple[int, int], tuple] = {}
     for points, allowed in constraints:
         if len(points) == 2:        # most constraints: ranked unsorted
             p, q = points
@@ -99,19 +93,13 @@ def file_constraints(size: int, target_size: int,
         else:
             ranks = tuple(sorted(set(points)))
             shape = tuple(map(ranks.index, points))
-        table = tables.get((shape, allowed))
-        if table is None:
-            table = tables[(shape, allowed)] = _table(shape, allowed, t)
+        table = _table(shape, allowed, t)
         if len(ranks) == 1:
             own[ranks[0]] &= table[0]
             continue
         prev = merged.get(ranks)
         if prev is not None:
-            key = (id(prev), id(table))
-            if key not in meets:
-                meets[key] = (prev, table, tuple(
-                    [m1 & m2 for m1, m2 in zip(prev, table)]))
-            table = meets[key][2]
+            table = tuple([m1 & m2 for m1, m2 in zip(prev, table)])
         merged[ranks] = table
     pairs: list[list[tuple]] = [[] for _ in range(size)]
     triples: list[list[tuple]] = [[] for _ in range(size)]

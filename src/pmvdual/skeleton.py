@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, chain_algebra,
-                      hom_enumerate, pmv_membership, pointwise_algebra,
-                      power, trivial_algebra)
+from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, _trusted,
+                      chain_algebra, hom_enumerate, pmv_membership,
+                      pointwise_algebra, power, trivial_algebra)
 from .duality import _positions, _space_of_points, dual_points
 from .errors import InternalConsistencyError, NonMemberError
 from .relations import leq_rel, order_failure
@@ -46,15 +47,22 @@ def skeleton(a: FinAlgebra) -> tuple[FinAlgebra, tuple[int, ...]]:
 
     Returned as an algebra in the same signature with both monoid
     operations collapsed onto the lattice ones, so every dual
-    construction applies unchanged at n = 1.
+    construction applies unchanged at n = 1.  (+) is monotone with unit
+    0, so the idempotents hold both constants and are closed under meet;
+    NonMemberError when they are not closed under join, as they are in
+    every algebra of the variety of a chain.
     """
     carrier = skeleton_carrier(a)
     index = {x: i for i, x in enumerate(carrier)}
-    size = len(carrier)
+    for x, y in product(carrier, repeat=2):
+        if a.join[x][y] not in index:
+            raise NonMemberError(f"the (+)-idempotents are not closed under "
+                                 f"join: {x} v {y} = {a.join[x][y]}")
     meet = tuple(tuple(index[a.meet[x][y]] for y in carrier) for x in carrier)
     join = tuple(tuple(index[a.join[x][y]] for y in carrier) for x in carrier)
-    lat = FinAlgebra(size, meet, join, join, meet, index[a.zero],
-                     index[a.one], label=f"S({a.label})" if a.label else "")
+    lat = _trusted(FinAlgebra, len(carrier), meet, join, join, meet,
+                   index[a.zero], index[a.one],
+                   f"S({a.label})" if a.label else "")
     return lat, carrier
 
 
@@ -83,7 +91,7 @@ def _priestley_dual(lat: FinAlgebra) -> tuple[list[Hom], Poset]:
         raise ValueError("priestley_dual expects an idempotent algebra")
     homs = dual_points(lat, 1)
     order = _space_of_points([h.map for h in homs], 1).order_pairs
-    return homs, Poset(len(homs), order)
+    return homs, _trusted(Poset, len(homs), order)
 
 
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:

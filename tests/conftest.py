@@ -33,6 +33,18 @@ def chain_lattice(k):
     return FinAlgebra(k, m, j, j, m, 0, k - 1, label=f"C{k}")
 
 
+def idempotents_not_closed_under_join():
+    """A valid algebra whose (+)-idempotents 0, 1, 2 and 4 are not closed
+    under join: 1 v 2 = 3, and 3 (+) 3 = 4."""
+    meet = ((0, 0, 0, 0, 0), (0, 1, 0, 1, 1), (0, 0, 2, 2, 2),
+            (0, 1, 2, 3, 3), (0, 1, 2, 3, 4))
+    join = ((0, 1, 2, 3, 4), (1, 1, 3, 3, 4), (2, 3, 2, 3, 4),
+            (3, 3, 3, 3, 4), (4, 4, 4, 4, 4))
+    oplus = ((0, 1, 2, 3, 4), (1, 1, 4, 4, 4), (2, 4, 2, 4, 4),
+             (3, 4, 4, 4, 4), (4, 4, 4, 4, 4))
+    return FinAlgebra(5, meet, join, oplus, meet, 0, 4)
+
+
 @pytest.fixture(scope="session")
 def suite():
     """(n, algebra) pairs: all square subalgebras for n in {2, 3, 4}."""

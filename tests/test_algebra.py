@@ -174,6 +174,23 @@ def test_equality_and_hash_ignore_the_label():
     assert changed != a and a != changed
 
 
+def test_list_rows_are_stored_as_the_tuple_built_tables():
+    pl = chain_algebra(2)
+    a = FinAlgebra(pl.size, *([list(row) for row in pl.table(name)]
+                              for name in OP_NAMES), pl.zero, pl.one)
+    assert a == pl and hash(a) == hash(pl)
+    assert [h.map for h in hom_enumerate(pl, a)] == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("zero, one", [(0, 7), (-1, 2)])
+def test_constants_outside_the_elements_are_named(zero, one):
+    pl = chain_algebra(2)
+    with pytest.raises(AxiomViolationError) as exc:
+        FinAlgebra(pl.size, pl.meet, pl.join, pl.oplus, pl.odot, zero, one)
+    assert exc.value.axiom == "constants-range"
+    assert exc.value.witness == (zero, one)
+
+
 # -- closures against the two-sided, from-scratch oracles ------------------------
 
 def oracle_generated_carrier(a, gens):

@@ -12,7 +12,7 @@ from pmvdual.duality import StructSpace
 from pmvdual.errors import InternalConsistencyError
 from pmvdual.skeleton import priestley_power
 
-from conftest import chain_lattice
+from conftest import chain_lattice, idempotents_not_closed_under_join
 
 
 def run(argv):
@@ -83,6 +83,16 @@ def test_skeleton_verb(tmp_path):
     assert code == 0
     data = json.loads(text)
     assert data["size"] == 4 and data["inclusion"] == [0, 2, 6, 8]
+
+
+def test_skeleton_of_idempotents_not_closed_under_join_is_exit_2(tmp_path,
+                                                                 capsys):
+    path = write_json(tmp_path, "a.json",
+                      idempotents_not_closed_under_join().to_json())
+    code, text = run(["skeleton", "--algebra", path])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: the (+)-idempotents are not closed under join: 1 v 2 = 3\n")
 
 
 def test_power_verb(tmp_path):

@@ -136,6 +136,12 @@ def test_enumeration_members_pass_membership():
         assert xn_membership(x, 2).member
 
 
+@pytest.mark.parametrize("n, max_size", [(1, 4), (2, 3), (3, 2), (4, 2)])
+def test_enumeration_members_pass_the_checking_constructor(n, max_size):
+    for x in enumerate_xn_structures(n, max_size):
+        assert StructSpace(n, x.size, x.relations) == x
+
+
 def test_lifting_rejects_non_members():
     bad = two_space(set(), {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
     with pytest.raises(NonMemberError):

@@ -19,6 +19,11 @@ from pmvdual.errors import NonMemberError, WrongSignatureError
 from pmvdual.relations import order_failure, top_seq
 
 
+def checked(x):
+    """The same space through the checking constructor."""
+    return StructSpace(x.n, x.size, x.relations)
+
+
 def two_space(sharp, order):
     return StructSpace(2, max((max(p) for p in order), default=-1) + 1,
                        {(2,): frozenset(sharp), (1,): frozenset(order)})
@@ -31,6 +36,7 @@ def test_relation_keys_match_the_lattice():
 
 def test_alter_ego_relations():
     ae = alter_ego(2)
+    assert all(checked(alter_ego(n)) == alter_ego(n) for n in range(1, 6))
     assert ae.size == 3
     assert ae.rel((2,)) == {(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)}
     assert ae.rel((1,)) == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
@@ -120,6 +126,7 @@ def test_membership_witnesses():
 def test_empty_space_is_a_member():
     assert xn_membership(empty_space(2), 2).member
     assert xn_membership(empty_space(3), 3).member
+    assert checked(empty_space(3)) == empty_space(3)
 
 
 def test_x2_axioms_on_good_and_bad_spaces():
@@ -414,5 +421,7 @@ def test_coproduct_law(data):
     ab, chain = algebra_product(a, b), chain_algebra(n)
     assert len(hom_enumerate(ab, chain)) == \
         len(hom_enumerate(a, chain)) + len(hom_enumerate(b, chain))
-    assert spaces_isomorphic(dual_space(ab, n), disjoint_union(
-        dual_space(a, n), dual_space(b, n)))
+    x, y = dual_space(ab, n), disjoint_union(dual_space(a, n),
+                                             dual_space(b, n))
+    assert spaces_isomorphic(x, y)
+    assert checked(x) == x and checked(y) == y

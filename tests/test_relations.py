@@ -49,6 +49,11 @@ def test_sequence_validation():
         GoodSeq(4, (3, 2, 4))                  # not nondecreasing
 
 
+def test_the_sequences_of_Sn_pass_the_checking_constructor():
+    for n in range(1, 10):
+        assert all(GoodSeq(n, s.y) == s for s in compute_Sn(n).elements)
+
+
 def test_labels():
     assert GoodSeq(4, (2, 2, 4)).label() == "[2/4,2/4,1]"
     assert top_seq(4).label() == "[1/4,2/4,3/4]"

@@ -14,7 +14,7 @@ from pmvdual.skeleton import (Poset, adjunction_check, boolean_lattice,
                               tau_table)
 from pmvdual.errors import NonMemberError
 
-from conftest import chain_lattice
+from conftest import chain_lattice, idempotents_not_closed_under_join
 
 
 def test_poset_validation():
@@ -38,6 +38,11 @@ def test_skeleton_of_the_square_is_the_four_element_boolean_lattice():
     assert is_isomorphic(lat, boolean_lattice(2))
 
 
+def test_skeleton_names_a_join_of_idempotents_that_is_not_one():
+    with pytest.raises(NonMemberError, match="1 v 2 = 3"):
+        skeleton(idempotents_not_closed_under_join())
+
+
 def test_skeleton_functor_on_homs():
     a = power(chain_algebra(2), 2)
     h = hom_enumerate(a, chain_algebra(2))[0]
@@ -49,6 +54,7 @@ def test_priestley_dual_of_chains():
     # the k-element chain has k-1 prime filters, again a chain
     for k in (1, 2, 3, 4):
         p = priestley_dual(chain_lattice(k))
+        assert Poset(p.size, p.leq) == p
         assert p.size == k - 1
         assert all(p.le(i, j) or p.le(j, i)
                    for i in range(p.size) for j in range(p.size))
@@ -56,6 +62,7 @@ def test_priestley_dual_of_chains():
 
 def test_priestley_dual_of_the_boolean_lattice_is_an_antichain():
     p = priestley_dual(boolean_lattice(2))
+    assert Poset(p.size, p.leq) == p
     assert p.size == 2
     assert p.leq == {(0, 0), (1, 1)}
 
@@ -139,6 +146,7 @@ def test_dual_poset_equals_priestley_dual_of_skeleton():
     for a, n in [(chain_algebra(3), 3), (power(chain_algebra(2), 2), 2)]:
         lat, _ = skeleton(a)
         p = priestley_dual(lat)
+        assert Poset(p.size, p.leq) == p
         x = dual_space(a, n)
         q = Poset(x.size, frozenset(x.order_pairs))
         assert poset_isomorphic(p, q)
