@@ -2,8 +2,8 @@
 
 Covers both the bounded-distributive-lattice case (oplus = join,
 odot = meet) and the general chain-valued case.  FinAlgebra(...), which
-algebra_from_tables and from_json call, is the one check of an algebra:
-in about generators x size^2 steps (_cubic_axioms_hold);
+algebra_from_tables and from_json call, checks an algebra once, in
+about generators x size^2 steps (_cubic_axioms_hold);
 the first violated axiom and its witness come from the ordered scan of
 triples, run only on failure.  Derived algebras (products, powers,
 subalgebras, pointwise algebras) are not validated again: the axioms are

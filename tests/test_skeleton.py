@@ -3,8 +3,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmvdual.algebra import (chain_algebra, hom_enumerate, is_isomorphic,
-                             power, subalgebra_generated, trivial_algebra)
+from pmvdual.algebra import (FinAlgebra, chain_algebra, hom_enumerate,
+                             is_isomorphic, power, subalgebra_generated,
+                             trivial_algebra)
 from pmvdual.duality import dual_space
 from pmvdual.skeleton import (Poset, adjunction_check, boolean_lattice,
                               boolean_power, is_dist_lattice_algebra,
@@ -30,11 +31,13 @@ def test_skeleton_of_the_chain_is_the_two_element_lattice():
         assert skeleton_carrier(chain_algebra(n)) == (0, n)
         lat, carrier = skeleton(chain_algebra(n))
         assert lat.size == 2 and is_dist_lattice_algebra(lat)
+        assert FinAlgebra.from_json(lat.to_json()) == lat
 
 
 def test_skeleton_of_the_square_is_the_four_element_boolean_lattice():
     lat, carrier = skeleton(power(chain_algebra(2), 2))
     assert lat.size == 4
+    assert FinAlgebra.from_json(lat.to_json()) == lat
     assert is_isomorphic(lat, boolean_lattice(2))
 
 
