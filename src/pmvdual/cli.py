@@ -47,19 +47,37 @@ def _emit(out, payload) -> None:
     out.write("\n")
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """JSON values, each already written, as the list that
+    json.dump(indent=2) writes when its opening line is indented by pad."""
+    if not items:
+        return "[]"
+    return f"[\n  {pad}" + f",\n  {pad}".join(items) + f"\n{pad}]"
+
+
 def cmd_sn(args, out) -> int:
     lat = compute_Sn(args.n)
     if args.format == "dot":
         out.write(rel_lattice_to_dot(lat))
         return EXIT_OK
     seqs = meet_irreducibles(lat) if args.irreducible else list(lat.elements)
-    _emit(out, {
-        "n": args.n,
-        "count": len(seqs),
-        "sequences": [{"y": list(s.y), "label": s.label()} for s in seqs],
-        "covers": [list(c) for c in lat.covers],
-        "meet_irreducible": list(lat.meet_irreducible),
-    })
+    # _emit's output, written one cover list and one sequence at a time:
+    # keys sorted, labels with nothing to escape, never an empty outer list
+    out.write(f'{{\n  "count": {len(seqs)},\n  "covers": [')
+    sep = "\n    "
+    for cov in lat.covers:
+        out.write(sep + _json_list([*map(str, cov)], "    "))
+        sep = ",\n    "
+    out.write('\n  ],\n  "meet_irreducible": '
+              + _json_list(["true" if irr else "false"
+                           for irr in lat.meet_irreducible], "  ")
+              + f',\n  "n": {args.n},\n  "sequences": [')
+    sep = "\n    "
+    for s in seqs:
+        out.write(f'{sep}{{\n      "label": "{s.label()}",\n      "y": '
+                  + _json_list([*map(str, s.y)], "      ") + "\n    }")
+        sep = ",\n    "
+    out.write("\n  ]\n}\n")
     return EXIT_OK
 
 

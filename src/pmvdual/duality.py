@@ -6,10 +6,12 @@ Topology plays no role at this scale; every finite space is discrete.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import and_, getitem
+from types import MappingProxyType
 
 from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom,
                       _blocks_from_classes, _trusted, chain_algebra,
@@ -35,7 +37,7 @@ class StructSpace:
 
     n: int
     size: int
-    relations: dict[tuple[int, ...], frozenset[Pair]] = field(repr=False)
+    relations: Mapping[tuple[int, ...], frozenset[Pair]] = field(repr=False)
 
     def __post_init__(self):
         expected = set(relation_keys(self.n))
@@ -131,9 +133,10 @@ def disjoint_union(x: StructSpace, y: StructSpace) -> StructSpace:
 
 @lru_cache(maxsize=None)
 def alter_ego(n: int) -> StructSpace:
-    """The dualizing structure: the chain carrier with every lattice relation."""
+    """The dualizing structure: the chain carrier with every lattice
+    relation.  Every caller shares it, so its relations are read-only."""
     rels = {key: rel.pairs for key, rel in sn_relations(n).items()}
-    return _trusted(StructSpace, n, n + 1, rels)
+    return _trusted(StructSpace, n, n + 1, MappingProxyType(rels))
 
 
 def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:

@@ -7,8 +7,8 @@ lattice of all of them is the relation set of the dualizing structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from functools import lru_cache, reduce
+from itertools import chain, combinations_with_replacement
 from operator import le
 
 from .algebra import (FinAlgebra, _trusted, all_subalgebra_carriers,
@@ -16,16 +16,20 @@ from .algebra import (FinAlgebra, _trusted, all_subalgebra_carriers,
 from .chain import Chain, Subalgebra, chain_subalgebras
 from .errors import (BudgetExceededError, MalformedSequenceError,
                      NotASubalgebraError, SizeLimitError)
-from .search import constraint_maps
+from .search import Filed, Points, walk
 
 Pair = tuple[int, int]
 
 ORACLE_MAX_N = 6
 
-# Budget of the good-sequence search, in candidate cells of its allowed
-# sets and then nodes, partial and complete maps: n = 14 takes 6 062
-# cells and 603 636 nodes, n = 15 takes 7 410 and 1 846 201, so `sn 14`
-# completes and `sn 15` stops; past n = 78 the cells alone exceed it.
+# Budget of the good-sequence search: a fixed charge of
+# 2 n^3 + 2 n^2 + (n - 1) n cells, made before anything is built, then
+# one per node, partial and complete maps.  The charge is the size of
+# the tuple sets that the search was first set up from; its tables now
+# take at most n^2 cells each, but the charge stays, so that the budget
+# ends the same searches: n = 14 takes 6 062 cells and 603 636 nodes,
+# n = 15 takes 7 410 and 1 846 201, so `sn 14` completes and `sn 15`
+# stops; past n = 78 the charge alone exceeds it.
 SN_BUDGET = 1_000_000
 
 
@@ -270,10 +274,72 @@ class RelLattice:
         return self.elements[-1]
 
 
-def _allowed(n: int, arity: int, test) -> frozenset[tuple[int, ...]]:
-    """The image tuples whose sequence values y = n - image pass test."""
-    return frozenset(d for d in product(range(n), repeat=arity)
-                     if test(*(n - v for v in d)))
+def _file_sn(n: int) -> Filed:
+    """The search's set-up for the good sequences, built directly, as
+    algebra._file_homs builds the hom searches.
+
+    Point i - 1 holds the image d = n - y_i.  Every closure condition
+    allows an interval of the image of its largest point:
+    - on a point's own images, y_i >= i is d <= n - i, and (+) with
+      j = k and 2j >= n is 2 d_j <= n;
+    - rising is d_{i+1} <= d_i;
+    - (+) with j + k >= n is d_k <= n - d_j, and with j + k < n it is
+      d_{j+k} >= max(0, d_j + d_k - n);
+    - (.) with j + k > n is d_k <= d_a - d_j at a = j + k - n.
+    So each kind of condition has one table, over n or n^2 cells,
+    shared by all its constraints.  The constraints on the same points
+    are collected as one bitmask of their kinds and meet as one table,
+    as file_constraints merges them: rising meets (+) at j = k = 1, and
+    a (.) triple is a (+) triple when 2j = n."""
+    full, cells = (1 << n) - 1, range(n)
+    # by kind, the images allowed to the largest point, indexed by the
+    # others': 0 rising, 1 (+) reaching 1, 2 (+) and 3 (.) with j = k,
+    # 4 (+) and 5 (.) on three points
+    tables = (
+        tuple([(2 << d) - 1 for d in cells]),
+        tuple([(2 << min(n - 1, n - d)) - 1 for d in cells]),
+        tuple([full ^ (1 << max(0, 2 * d - n)) - 1 for d in cells]),
+        tuple([(2 << d // 2) - 1 for d in cells]),
+        tuple([full ^ (1 << max(0, q + r - n)) - 1
+               for q in cells for r in cells]),
+        tuple([(2 << q - r) - 1 if q >= r else 0
+               for q in cells for r in cells]))
+    own = [(2 << n - i) - 1 for i in range(1, n)]
+    kinds: dict[Points, int] = {}
+
+    def add(points: Points, kind: int) -> None:
+        kinds[points] = kinds.get(points, 0) | 1 << kind
+
+    for i in range(1, n - 1):
+        add((i - 1, i), 0)
+    for j in range(1, n):
+        if 2 * j < n:
+            add((j - 1, 2 * j - 1), 2)
+        else:
+            own[j - 1] &= (2 << n // 2) - 1
+            if 2 * j > n:
+                add((2 * j - n - 1, j - 1), 3)
+        for k in range(j + 1, n):
+            if j + k < n:
+                add((j - 1, k - 1, j + k - 1), 4)
+            else:
+                add((j - 1, k - 1), 1)
+                if j + k > n:
+                    add((j + k - n - 1, j - 1, k - 1), 5)
+    memo: dict[int, tuple[int, ...]] = {}
+    pairs: list[list[tuple]] = [[] for _ in range(n - 1)]
+    triples: list[list[tuple]] = [[] for _ in range(n - 1)]
+    for points, mask in kinds.items():
+        table = memo.get(mask)
+        if table is None:
+            table = memo[mask] = reduce(
+                lambda t1, t2: tuple([m1 & m2 for m1, m2 in zip(t1, t2)]),
+                [t for k, t in enumerate(tables) if mask >> k & 1])
+        if len(points) == 2:
+            pairs[points[1]].append((points[0], table))
+        else:
+            triples[points[2]].append((points[0], points[1], table))
+    return n - 1, n, own, pairs, triples, {}
 
 
 def _good_sequences(n: int) -> list[tuple[int, ...]]:
@@ -281,34 +347,19 @@ def _good_sequences(n: int) -> list[tuple[int, ...]]:
 
     Point i - 1 of the search holds y_i as the image n - y_i, so the
     search's lexicographic order is the descending order of y.  The
-    constraints state full mode's closure condition literally: for
-    j <= j', (a, b) = (j, y_j) (+) (j', y_j') needs b >= y_a, a ternary
-    constraint, or a binary one when a = n, where y_n = n; the same
-    holds for (.) when j + j' > n (below that a = 0, where y_0 = 0).
-    The n^arity candidate tuples of the allowed sets are charged to
-    SN_BUDGET before they are built, and the search gets what is left.
+    constraints (_file_sn) state full mode's closure condition
+    literally: for j <= j', (a, b) = (j, y_j) (+) (j', y_j') needs
+    b >= y_a, a ternary constraint, or a binary one when a = n, where
+    y_n = n; the same holds for (.) when j + j' > n (below that a = 0,
+    where y_0 = 0).  A fixed count of cells is charged to SN_BUDGET
+    before anything is built, and the search gets what is left.
     """
     cells = 2 * n ** 3 + 2 * n ** 2 + (n - 1) * n
     if cells > SN_BUDGET:
         raise BudgetExceededError(SN_BUDGET)
-    oplus = _allowed(n, 3, lambda yj, yk, ya: min(n, yj + yk) >= ya)
-    oplus_top = _allowed(n, 2, lambda yj, yk: min(n, yj + yk) >= n)
-    odot = _allowed(n, 3, lambda ya, yj, yk: max(0, yj + yk - n) >= ya)
-    rising = _allowed(n, 2, lambda yi, yk: yi <= yk)
-    constraints = [((i - 1,), _allowed(n, 1, lambda y, i=i: y >= i))
-                   for i in range(1, n)]
-    constraints += [((i - 1, i), rising) for i in range(1, n - 1)]
-    for j in range(1, n):
-        for k in range(j, n):
-            if j + k < n:
-                constraints.append(((j - 1, k - 1, j + k - 1), oplus))
-            else:
-                constraints.append(((j - 1, k - 1), oplus_top))
-            if j + k > n:
-                constraints.append(((j + k - n - 1, j - 1, k - 1), odot))
     try:
         return [tuple(n - d for d in images) for images in
-                constraint_maps(n - 1, n, constraints, SN_BUDGET - cells)]
+                walk(_file_sn(n), SN_BUDGET - cells)]
     except BudgetExceededError:
         raise BudgetExceededError(SN_BUDGET) from None
 
@@ -325,8 +376,7 @@ def _hasse(n: int, ys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     m = len(ys)
     # at_most[c][v]: bit e is set when y_c of element e is at most v;
     # int(..., 2) reads the last element's digit as bit 0
-    digits = [bytes(49 if x <= v else 48 for x in range(256))
-              for v in range(n + 1)]
+    digits = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n + 1)]
     at_most = []
     for c in range(n - 1):
         column = bytes(y[c] for y in reversed(ys))

@@ -4,12 +4,14 @@ A search lists the maps {0..size-1} -> {0..target_size-1} that send
 each constraint (points, allowed) into allowed: points is a tuple of one
 to three points and allowed a set of image tuples of the same length.
 Morphisms of structured spaces and monotone maps of posets are such
-searches, and so is the list of good sequences behind the relation
-lattice S_n (relations.compute_Sn).  Algebra homomorphisms are too
-(homomorphisms as constraint satisfaction: Feder & Vardi, SIAM J.
-Comput. 1998), with the constants as unary constraints and each
-operation as its ternary graph; algebra._file_homs builds their set-up
-(Filed) straight from the operation tables, without listing them.
+searches.  Algebra homomorphisms are too (homomorphisms as constraint
+satisfaction: Feder & Vardi, SIAM J. Comput. 1998), with the constants
+as unary constraints and each operation as its ternary graph, and so is
+the list of good sequences behind the relation lattice S_n
+(relations.compute_Sn), with the closure conditions as constraints on
+the entries.  Those two build their set-up (Filed) directly, without
+listing allowed sets: algebra._file_homs from the operation tables,
+relations._file_sn from the interval that each closure condition allows.
 
 A search has two steps: file_constraints sets it up, walk lists the
 maps.  The membership test files a space's constraints once, then walks
@@ -38,10 +40,9 @@ def _table(shape: Points, allowed: frozenset[Points], t: int
     """For a constraint whose position i holds its shape[i]-th smallest
     point, the bitmask of the allowed images of the largest point,
     indexed by the images of the others in base t.  Cached, since most
-    searches use the same few allowed sets: the relations of an alter
-    ego, the closure conditions of S_n.  The hom searches into an
-    algebra make the tables of its operation graphs here once
-    (algebra._target_tables)."""
+    searches use the same few allowed sets, the relations of an alter
+    ego.  The hom searches into an algebra make the tables of its
+    operation graphs here once (algebra._target_tables)."""
     k = max(shape)
     if k == 0:
         return (sum(1 << v for v in range(t) if (v,) * len(shape) in allowed),)

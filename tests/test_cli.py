@@ -49,6 +49,22 @@ def test_sn_dot():
     assert code == 0 and text.startswith("digraph")
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sn_json_is_the_json_module_text(n):
+    lat = relations.compute_Sn(n)
+    for flags, seqs in (([], lat.elements),
+                        (["--irreducible"], relations.meet_irreducibles(lat))):
+        payload = {
+            "n": n,
+            "count": len(seqs),
+            "sequences": [{"y": list(s.y), "label": s.label()} for s in seqs],
+            "covers": [list(c) for c in lat.covers],
+            "meet_irreducible": list(lat.meet_irreducible),
+        }
+        assert run(["sn", str(n), *flags]) == \
+            (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def test_sn_deterministic():
     assert run(["sn", "5"]) == run(["sn", "5"])
 

@@ -42,6 +42,14 @@ def test_alter_ego_relations():
     assert ae.rel((1,)) == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
 
 
+def test_the_shared_alter_ego_is_read_only():
+    before = dict(alter_ego(2).relations)
+    with pytest.raises(TypeError):
+        alter_ego(2).relations[(2,)] = frozenset()
+    assert alter_ego(2).relations == before
+    assert len(alter_ego(2).rel((2,))) == 5
+
+
 def test_signature_is_enforced():
     with pytest.raises(WrongSignatureError):
         StructSpace(2, 1, {(1,): frozenset()})

@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 
 from pmvdual.chain import Subalgebra
 from pmvdual.errors import (MalformedSequenceError, NotASubalgebraError,
                             SizeLimitError)
-from pmvdual.relations import (BinRel, GoodSeq, _chain_square,
+from pmvdual.relations import (BinRel, GoodSeq, _chain_square, _file_sn,
+                               _good_sequences,
                                adjudicate_n4_discrepancy, bottom_seq,
                                candidate_sequences,
                                classify_square_subalgebra, compute_Sn,
@@ -14,6 +17,8 @@ from pmvdual.relations import (BinRel, GoodSeq, _chain_square,
                                rel_lattice_to_dot, rel_to_seq, seq_to_rel,
                                sn_relations, square_subalgebras_oracle,
                                top_seq)
+
+from pmvdual.search import constraint_maps, file_constraints
 
 from test_algebra import oracle_generated_carrier
 
@@ -138,6 +143,44 @@ def test_compute_Sn_equals_its_oracles(n):
         above = [rels[j] for j in range(len(rels)) if j != i and lat.leq(i, j)]
         meet = frozenset.intersection(*above) if above else None
         assert lat.meet_irreducible[i] == (meet != rel)
+
+
+def oracle_sn_constraints(n):
+    """The good-sequence search as a constraint list, each allowed set
+    listed tuple by tuple: point i - 1 holds the image n - y_i."""
+    def allowed(arity, test):
+        return frozenset(d for d in product(range(n), repeat=arity)
+                         if test(*(n - v for v in d)))
+
+    oplus = allowed(3, lambda yj, yk, ya: min(n, yj + yk) >= ya)
+    oplus_top = allowed(2, lambda yj, yk: min(n, yj + yk) >= n)
+    odot = allowed(3, lambda ya, yj, yk: max(0, yj + yk - n) >= ya)
+    rising = allowed(2, lambda yi, yk: yi <= yk)
+    constraints = [((i - 1,), allowed(1, lambda y, i=i: y >= i))
+                   for i in range(1, n)]
+    constraints += [((i - 1, i), rising) for i in range(1, n - 1)]
+    for j in range(1, n):
+        for k in range(j, n):
+            if j + k < n:
+                constraints.append(((j - 1, k - 1, j + k - 1), oplus))
+            else:
+                constraints.append(((j - 1, k - 1), oplus_top))
+            if j + k > n:
+                constraints.append(((j + k - n - 1, j - 1, k - 1), odot))
+    return constraints
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_direct_sn_filing_matches_the_constraint_list(n):
+    constraints = oracle_sn_constraints(n)
+    assert _good_sequences(n) == [
+        tuple(n - d for d in images)
+        for images in constraint_maps(n - 1, n, constraints)]
+    filed, oracle = _file_sn(n), file_constraints(n - 1, n, constraints)
+    assert filed[:3] == oracle[:3]
+    for got, want in zip(filed[3:5], oracle[3:5]):
+        assert [sorted(point) for point in got] == \
+            [sorted(point) for point in want]
 
 
 def test_n4_lattice_matches_the_published_diagram():

@@ -26,7 +26,10 @@ checkout's src first on PYTHONPATH:
   algebras;
 - power 2 and power 3 over the algebras that are lattices;
 - membership and export over the spaces, at their own n;
-- sn -1..9 as JSON, with --irreducible and with --format dot, and
+- sn -1..12 as JSON, with --irreducible and with --format dot (n = 12
+  writes all 14 900 elements of S_12), sn 78 (the last n whose
+  set-up fits the budget, which its search then exceeds), sn 79 and
+  sn 100 (over the budget before the search is built), and
   oracle-diff -1..7.
 
 It prints every run whose stdout, stderr or exit code differs between
@@ -162,9 +165,11 @@ def runs(algebras: list, lattices: list, spaces: list) -> list[list[str]]:
     for n, path in spaces:
         out.append(["membership", str(n), "--space", path])
         out.append(["export", str(n), "--space", path])
-    for n in range(-1, 10):
+    for n in range(-1, 13):
         for flags in ([], ["--irreducible"], ["--format", "dot"]):
             out.append(["sn", str(n), *flags])
+    for n in ("78", "79", "100"):
+        out.append(["sn", n])
     for n in range(-1, 8):
         out.append(["oracle-diff", str(n)])
     return out
