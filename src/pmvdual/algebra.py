@@ -23,15 +23,13 @@ from itertools import chain, compress, repeat
 from math import prod
 from operator import add, and_, eq, getitem, mul, ne, or_
 
+from . import search
 from .chain import OP_NAMES, Chain
-from .errors import (AxiomViolationError, BudgetExceededError,
-                     InternalConsistencyError, MalformedInputError, as_int,
-                     require_keys)
-from .search import Filed, _table, closed_sets, injective, walk
+from .errors import (AxiomViolationError, InternalConsistencyError,
+                     MalformedInputError, as_int, require_keys)
+from .search import Filed, _table, charge, closed_sets, injective, walk
 
 Table = tuple[tuple[int, ...], ...]
-
-DEFAULT_HOM_BUDGET = 5_000_000
 
 
 def _as_table(rows, size: int) -> Table:
@@ -113,8 +111,7 @@ def _validate(a: FinAlgebra) -> None:
     """Raise the first violated axiom of a, whose tables and constants
     are in range, with its witness: the checks on elements and pairs in
     order, then _cubic_axioms_hold, and only if it fails the scan."""
-    if a.size ** 3 > DEFAULT_HOM_BUDGET:     # the triples of the scan
-        raise BudgetExceededError(DEFAULT_HOM_BUDGET)
+    charge(a.size ** 3)     # the triples of the scan
     m, j = a.meet, a.join
     rng = range(a.size)
     for x in rng:
@@ -256,7 +253,7 @@ def _pointwise(factors: list[FinAlgebra], elems: list[tuple[int, ...]],
     is elems[i].  Raises InternalConsistencyError unless the elements
     are closed under the operations and contain both constants, and
     BudgetExceededError, before building anything, when the four tables
-    would have more than DEFAULT_HOM_BUDGET cells.  A tuple is coded in
+    would have more than search.BUDGET cells.  A tuple is coded in
     mixed radix over the factor sizes, and a table is built from the
     codes of its cells, summed over the coordinates a whole table at a
     time, then looked up in one dict from code to element."""
@@ -301,8 +298,7 @@ def pointwise_algebra(n: int, elems: list[tuple[int, ...]],
 
 def _charge(size: int) -> None:
     """Refuse an algebra whose four tables exceed the budget in cells."""
-    if 4 * size ** 2 > DEFAULT_HOM_BUDGET:
-        raise BudgetExceededError(DEFAULT_HOM_BUDGET)
+    charge(4 * size ** 2)
 
 
 def product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
@@ -422,13 +418,13 @@ _recent_homs: dict[tuple[int, int, int], tuple] = {}
 
 
 def hom_enumerate(a: FinAlgebra, b: FinAlgebra,
-                  budget: int = DEFAULT_HOM_BUDGET) -> list[Hom]:
+                  budget: int | None = None) -> list[Hom]:
     """All homomorphisms a -> b, lexicographically ordered on map arrays.
 
-    budget bounds the nodes of the constraint kernel.  A search of the
-    same two objects and budget among the last few is not run again.
+    budget (search.BUDGET if None) bounds the kernel's nodes.  A search
+    of the same two objects and budget among the last few is not run again.
     """
-    key = (id(a), id(b), budget)
+    key = (id(a), id(b), search.BUDGET if budget is None else budget)
     entry = _recent_homs.pop(key, None)
     if entry is None:
         entry = a, b, tuple(walk(_file_homs(a, b), budget))

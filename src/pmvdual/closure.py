@@ -5,8 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations, product
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, _trusted,
-                      pmv_membership)
+from .algebra import FinAlgebra, _trusted, pmv_membership
 from .duality import (StructSpace, _space_of_points, alter_ego, dual_space,
                       relation_keys, struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
@@ -95,8 +94,7 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
 
             def close(bits: tuple[bool, ...]) -> tuple[bool, ...] | None:
                 homs = constraint_maps(size, n + 1, [
-                    (pair, ae[key]) for key, pair in compress(cells, bits)],
-                    DEFAULT_HOM_BUDGET)
+                    (pair, ae[key]) for key, pair in compress(cells, bits)])
                 x = _space_of_points(list(zip(*homs)), n)
                 return None if x.order_pairs != order else tuple(
                     pair in x.relations[key] for key, pair in cells)

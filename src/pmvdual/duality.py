@@ -13,9 +13,9 @@ from itertools import chain
 from operator import and_, getitem
 from types import MappingProxyType
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom,
-                      _blocks_from_classes, _trusted, chain_algebra,
-                      congruences, hom_enumerate, pointwise_algebra)
+from .algebra import (FinAlgebra, Hom, _blocks_from_classes, _trusted,
+                      chain_algebra, congruences, hom_enumerate,
+                      pointwise_algebra)
 from .errors import (InternalConsistencyError, MalformedInputError,
                      NonMemberError, WrongSignatureError, as_int,
                      require_keys)
@@ -141,8 +141,7 @@ def alter_ego(n: int) -> StructSpace:
 
 def struct_morphism_maps(x: StructSpace, y: StructSpace) -> list[tuple[int, ...]]:
     """All structure-preserving maps x -> y, lexicographically ordered."""
-    return list(constraint_maps(x.size, y.size, _morphism_constraints(x, y),
-                                DEFAULT_HOM_BUDGET))
+    return list(constraint_maps(x.size, y.size, _morphism_constraints(x, y)))
 
 
 def _morphism_constraints(x: StructSpace, y: StructSpace) -> list:
@@ -314,8 +313,7 @@ def _first_unmet(filed: Filed, checks) -> tuple | None:
             if (m[p], m[q]) in avoid:
                 break
         else:
-            m = next(walk(with_pair(filed, p, q, avoid), DEFAULT_HOM_BUDGET),
-                     None)
+            m = next(walk(with_pair(filed, p, q, avoid)), None)
             if m is None:
                 return witness
             found.append(m)

@@ -18,11 +18,11 @@ maps.  The membership test files a space's constraints once, then walks
 them for each pair of points with one more constraint on it (with_pair).
 
 closed_sets is the one worklist over a closure system (subuniverses,
-congruences, and the members of the dual category on one order).
+congruences, and the members of the dual category on one order).  Each
+search but S_n's (relations.SN_BUDGET) reads its budget, BUDGET, here.
 """
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import lru_cache
 from itertools import product
@@ -32,6 +32,14 @@ from .errors import BudgetExceededError
 
 Points = tuple[int, ...]
 Constraint = tuple[Points, frozenset[Points]]
+
+BUDGET = 5_000_000
+
+
+def charge(cells: int) -> None:
+    """Refuse a set-up of more than BUDGET cells, before it is built."""
+    if cells > BUDGET:
+        raise BudgetExceededError(BUDGET)
 
 
 @lru_cache(maxsize=128)
@@ -130,14 +138,14 @@ def walk(filed: Filed, budget: int | None = None) -> Iterator[Points]:
     """The maps that meet the filed constraints, in lexicographic order.
     The walk keeps an explicit stack, so the cost of a map does not grow
     with the number of points.  Every map put on the stack or yielded is
-    one node; past budget nodes the walk raises BudgetExceededError."""
+    one node; past budget (or BUDGET) nodes it raises BudgetExceededError."""
     size, t, own, pairs, triples, decoded = filed
     if 0 in own:            # a point without an image: no map at all
         return
     if size == 0:
         yield ()
         return
-    limit = budget if budget is not None else sys.maxsize
+    limit = BUDGET if budget is None else budget
     nodes = 0
     stack: list[Points] = [()]
     while stack:
@@ -154,7 +162,7 @@ def walk(filed: Filed, budget: int | None = None) -> Iterator[Points]:
                 b for b in range(t) if mask >> b & 1)
         nodes += len(images)
         if nodes > limit:
-            raise BudgetExceededError(budget)
+            raise BudgetExceededError(limit)
         if p == size - 1:
             for b in images:
                 yield prefix + (b,)

@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import (DEFAULT_HOM_BUDGET, FinAlgebra, Hom, _trusted,
-                      chain_algebra, hom_enumerate, pmv_membership,
-                      pointwise_algebra, power, trivial_algebra)
+from .algebra import (FinAlgebra, Hom, _trusted, chain_algebra,
+                      hom_enumerate, pmv_membership, pointwise_algebra,
+                      power, trivial_algebra)
 from .duality import _positions, _space_of_points, dual_points
 from .errors import InternalConsistencyError, NonMemberError
 from .relations import leq_rel, order_failure
@@ -97,8 +97,7 @@ def _priestley_dual(lat: FinAlgebra) -> tuple[list[Hom], Poset]:
 def monotone_maps(p: Poset, n: int) -> list[tuple[int, ...]]:
     """Order-preserving maps from the poset into the (n+1)-chain."""
     le = leq_rel(n).pairs
-    return list(constraint_maps(p.size, n + 1, [(pair, le) for pair in p.leq],
-                                DEFAULT_HOM_BUDGET))
+    return list(constraint_maps(p.size, n + 1, [(pair, le) for pair in p.leq]))
 
 
 def priestley_power(n: int, lat: FinAlgebra) -> FinAlgebra:

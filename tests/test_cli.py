@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from pmvdual import cli, duality, relations
+from pmvdual import cli, duality, relations, search
 from pmvdual.algebra import chain_algebra, power
 from pmvdual.cli import main
 from pmvdual.duality import StructSpace
@@ -158,7 +158,7 @@ def test_oracle_diff_reports_a_missed_sequence(monkeypatch):
 
 
 def test_membership_search_budget(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(duality, "DEFAULT_HOM_BUDGET", 5)
+    monkeypatch.setattr(search, "BUDGET", 5)
     space = duality.disjoint_union(duality.alter_ego(2), duality.alter_ego(2))
     path = write_json(tmp_path, "x.json", space.to_json())
     code, text = run(["membership", "2", "--space", path])
@@ -189,7 +189,7 @@ def test_sn_of_a_large_n_stops_before_its_search_is_built(capsys):
 def test_an_input_too_large_to_validate_stops_before_its_check(tmp_path,
                                                                capsys):
     # the 256-element Boolean algebra has 256^3 = 16.8 million triples to
-    # validate, past DEFAULT_HOM_BUDGET; the 64-element one has 262 144
+    # validate, past search.BUDGET; the 64-element one has 262 144
     big = write_json(tmp_path, "b256.json",
                      power(chain_algebra(1), 8).to_json())
     start = time.perf_counter()
