@@ -4,13 +4,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations, product
+from math import factorial
+from types import MappingProxyType
 
 from .algebra import FinAlgebra, _trusted, pmv_membership
 from .duality import (StructSpace, _space_of_points, alter_ego, dual_space,
                       relation_keys, struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
 from .relations import leq_rel, top_seq
-from .search import closed_sets, constraint_maps
+from .search import charge, closed_sets, constraint_maps
 
 Pair = tuple[int, int]
 
@@ -76,11 +78,13 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
     are the closed sets whose order part is the order (antisymmetric, so
     it separates the points).  An order isomorphic to an earlier one is
     skipped, and two members on one order are isomorphic when an
-    automorphism of it maps one to the other."""
+    automorphism of it maps one to the other.  The result is shared, so
+    its spaces' relations are read-only."""
     keys, ae = relation_keys(n), alter_ego(n).relations   # the order last
     found: list[StructSpace] = []
     seen_orders: set[frozenset[Pair]] = set()
     for size in range(max_size + 1):
+        charge(factorial(size))
         perms = list(permutations(range(size)))
         for order in _labeled_posets(size):
             if order in seen_orders:
@@ -116,9 +120,10 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
                 form = min(tuple(map(bits.__getitem__, a)) for a in autos)
                 if form not in forms:
                     forms.add(form)
-                    found.append(_trusted(StructSpace, n, size, {
-                        key: frozenset(compress(pairs, r))
-                        for key, r in zip(keys, rows(bits))}))
+                    rels = {key: frozenset(compress(pairs, r))
+                            for key, r in zip(keys, rows(bits))}
+                    found.append(_trusted(StructSpace, n, size,
+                                          MappingProxyType(rels)))
     return tuple(found)
 
 

@@ -29,7 +29,9 @@ ORACLE_MAX_N = 6
 # take at most n^2 cells each, but the charge stays, so that the budget
 # ends the same searches: n = 14 takes 6 062 cells and 603 636 nodes,
 # n = 15 takes 7 410 and 1 846 201, so `sn 14` completes and `sn 15`
-# stops; past n = 78 the charge alone exceeds it.
+# stops; past n = 78 the charge alone exceeds it.  It stays below
+# search.BUDGET, under which `sn 15` would complete and then run _hasse,
+# whose cost grows as the square of the sequences (19.6 s at n = 14).
 SN_BUDGET = 1_000_000
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from operator import itemgetter
 
 from .errors import BudgetExceededError
@@ -200,11 +200,14 @@ def isomorphism(size: int, relations: list[tuple[frozenset[Points],
 def closed_sets(bottom: Hashable, above: Callable) -> set:
     """Every closed set reachable from the least one, bottom, by adding
     one generator at a time: above(s) yields the closures of s with one
-    generator added, and None for a set outside the system."""
+    generator added, and None for a set outside the system.  Each
+    closure is charged, so past BUDGET of them it raises."""
     seen = {bottom}
     frontier = [bottom]
+    closures = count(1)
     while frontier:
         for bigger in above(frontier.pop()):
+            charge(next(closures))
             if bigger is not None and bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)

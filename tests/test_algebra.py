@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmvdual import algebra
+from pmvdual import algebra, search
 from pmvdual.algebra import (FinAlgebra, Hom, _pointwise, _trusted,
                              all_subalgebra_carriers,
                              _blocks_from_classes, chain_algebra,
@@ -129,6 +129,17 @@ def test_congruences_of_a_product_of_two_simple_factors():
     a = power(chain_algebra(2), 2)
     cons = congruences(a)
     assert len(cons) == 4                 # diagonal, two kernels, full
+
+
+def test_the_budget_bounds_the_congruence_worklist(monkeypatch):
+    # each of the 8 congruences of PL_1^3 is joined with each of its 3
+    # principals once: 24 closures
+    a = power(chain_algebra(1), 3)
+    monkeypatch.setattr(search, "BUDGET", 24)
+    assert len(congruences(a)) == 8
+    monkeypatch.setattr(search, "BUDGET", 23)
+    with pytest.raises(BudgetExceededError):
+        congruences(a)
 
 
 def test_pmv_membership_separating_embedding():

@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmvdual import search
 from pmvdual.algebra import chain_algebra, power, trivial_algebra
 from pmvdual.closure import (ClosureReport, _labeled_posets,
                              enumerate_xn_structures, fep_star_check,
@@ -11,7 +12,7 @@ from pmvdual.closure import (ClosureReport, _labeled_posets,
                              is_existentially_closed)
 from pmvdual.duality import (StructSpace, dual_space, empty_space,
                              relation_keys, xn_membership)
-from pmvdual.errors import NonMemberError
+from pmvdual.errors import BudgetExceededError, NonMemberError
 from pmvdual.relations import compute_Sn, order_failure, top_seq
 from pmvdual.skeleton import boolean_lattice, priestley_power
 
@@ -120,6 +121,31 @@ def test_enumeration_counts():
         [9, 25, 88]
     assert [len(enumerate_xn_structures(3, k)) for k in (2, 3)] == [12, 78]
     assert [len(enumerate_xn_structures(4, k)) for k in (1, 2)] == [4, 30]
+
+
+def test_the_shared_enumeration_is_read_only():
+    x = enumerate_xn_structures(2, 2)[1]
+    before = dict(x.relations)
+    with pytest.raises(TypeError):
+        x.relations[(2,)] = frozenset({(0, 0), (5, 5)})
+    assert enumerate_xn_structures(2, 2)[1].relations == before
+
+
+def test_the_budget_bounds_the_enumeration(monkeypatch):
+    # at (1, 3) the 12 nodes of the order walk over two incomparable
+    # points are the first to pass a budget of 8; at (1, 4) the 24
+    # permutations of four points are refused before they are listed
+    uncached = enumerate_xn_structures.__wrapped__
+    monkeypatch.setattr(search, "BUDGET", 8)
+    with pytest.raises(BudgetExceededError) as stopped:
+        uncached(1, 3)
+    assert "_labeled_posets" in [entry.name for entry in stopped.traceback]
+    monkeypatch.setattr(search, "BUDGET", 20)
+    with pytest.raises(BudgetExceededError) as stopped:
+        uncached(1, 4)
+    assert stopped.traceback[-1].name == "charge"
+    monkeypatch.setattr(search, "BUDGET", 39)
+    assert len(uncached(1, 4)) == 25
 
 
 def test_enumeration_at_four_points_and_n3_is_quick():

@@ -3,7 +3,12 @@ from itertools import compress, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pmvdual import search
+from pmvdual.algebra import chain_algebra, is_isomorphic
+from pmvdual.duality import alter_ego, spaces_isomorphic
 from pmvdual.errors import BudgetExceededError
+from pmvdual.relations import leq_rel
+from pmvdual.skeleton import Poset, poset_isomorphic
 from pmvdual.search import (closed_sets, constraint_maps, file_constraints,
                             injective, walk, with_pair)
 
@@ -57,6 +62,19 @@ def test_the_budget_counts_the_complete_maps_too():
     with pytest.raises(BudgetExceededError):
         list(constraint_maps(8, 5, [], 100_000))
     assert len(list(constraint_maps(6, 5, [], 100_000))) == 5 ** 6
+
+
+def test_one_budget_bounds_the_isomorphism_searches(monkeypatch):
+    # each search puts at least one node per point on the stack, so a
+    # budget of 2 stops it on three or four points
+    x, p, a = alter_ego(2), Poset(3, leq_rel(2).pairs), chain_algebra(3)
+    searches = [lambda: spaces_isomorphic(x, x),
+                lambda: poset_isomorphic(p, p), lambda: is_isomorphic(a, a)]
+    assert all(check() for check in searches)
+    monkeypatch.setattr(search, "BUDGET", 2)
+    for check in searches:
+        with pytest.raises(BudgetExceededError):
+            check()
 
 
 @settings(deadline=None, max_examples=200)

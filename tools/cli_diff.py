@@ -11,7 +11,9 @@ checkout's pmvdual:
   PL_3 x PL_1^2 (16 elements), and PL_2^4 (81) and PL_1^6 (64), the
   shapes of the largest double duals that verify-duality builds, for
   the verbs that reuse a hom list;
-- PL_4^3 (125 elements), and one invalid algebra for each axiom that
+- PL_4^3 (125 elements), PL_1^8 (256 elements, whose 16.8 million
+  triples are past the budget of validation's scan, so that its exit-3
+  line is compared), and one invalid algebra for each axiom that
   validation checks over triples or covering pairs (INVALID), with M3
   and N5 x PL_1 for distributivity, so that the first violated axiom
   and its witness are compared;
@@ -131,6 +133,8 @@ def fixtures(src: Path, folder: Path) -> tuple[list, list, list]:
                                 alter_ego(n).to_json())))
     algebra_paths.append(write("pl4cube.json",
                                power(chain_algebra(4), 3).to_json()))
+    algebra_paths.append(write("pl1pow8.json",
+                               power(chain_algebra(1), 8).to_json()))
     bases = {name: a for _, name, a in algebras}
     bases.update(pl2sq=power(chain_algebra(2), 2), pl3=chain_algebra(3))
     for name, base, table, x, y, v in INVALID:
