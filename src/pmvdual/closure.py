@@ -3,13 +3,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, permutations, product
+from itertools import permutations
 from math import factorial
 from types import MappingProxyType
 
 from .algebra import FinAlgebra, _trusted, pmv_membership
-from .duality import (StructSpace, _space_of_points, alter_ego, dual_space,
-                      relation_keys, struct_morphism_maps, xn_membership)
+from .duality import (StructSpace, _relation_bits, dual_space,
+                      struct_morphism_maps, xn_membership)
 from .errors import NonMemberError
 from .relations import leq_rel, top_seq
 from .search import charge, closed_sets, constraint_maps
@@ -72,16 +72,19 @@ def _labeled_posets(size: int) -> list[frozenset[Pair]]:
 @lru_cache(maxsize=None)
 def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
     """All members of the dual category with at most max_size points, the
-    first of each isomorphism class, fewest pairs first.  Pulling each
-    relation back along the morphisms into the alter ego is a closure
-    operator on the cells (relation, pair), so the members on one order
-    are the closed sets whose order part is the order (antisymmetric, so
-    it separates the points).  An order isomorphic to an earlier one is
-    skipped, and two members on one order are isomorphic when an
-    automorphism of it maps one to the other.  The result is shared, so
-    its spaces' relations are read-only."""
-    keys, ae = relation_keys(n), alter_ego(n).relations   # the order last
-    found: list[StructSpace] = []
+    first of each isomorphism class, fewest pairs first.  The members on
+    one order are the intersections of the intents of its monotone maps
+    into the alter ego, the intent of a map being the cells (relation,
+    pair) that it sends into the alter ego (Ganter & Wille, Formal
+    Concept Analysis, 1999).  Every relation holds the minimal one (x = 0
+    or y = n), so the maps into {0, n} have every cell in their intents;
+    they separate the points, so no pair outside the order is pulled back
+    into it.  An order isomorphic to an earlier one is skipped, and two
+    members on one order are isomorphic when an automorphism of it maps
+    one to the other.  The result is shared, so its spaces' relations
+    are read-only."""
+    keys, bits = _relation_bits(n)      # the order last
+    k, leq, found = len(keys), leq_rel(n).pairs, []
     seen_orders: set[frozenset[Pair]] = set()
     for size in range(max_size + 1):
         charge(factorial(size))
@@ -93,35 +96,27 @@ def enumerate_xn_structures(n: int, max_size: int) -> tuple[StructSpace, ...]:
                       for m in perms]
             seen_orders.update(images)
             pairs, w = sorted(order), len(order)
-            # cell t * w + i: pair i in the t-th relation
-            cells = list(product(keys, pairs))
-
-            def close(bits: tuple[bool, ...]) -> tuple[bool, ...] | None:
-                homs = constraint_maps(size, n + 1, [
-                    (pair, ae[key]) for key, pair in compress(cells, bits)])
-                x = _space_of_points(list(zip(*homs)), n)
-                return None if x.order_pairs != order else tuple(
-                    pair in x.relations[key] for key, pair in cells)
-
-            def rows(bits: tuple[bool, ...]) -> list[tuple[bool, ...]]:
-                return [bits[t * w:(t + 1) * w] for t in range(len(keys))]
-
-            members = closed_sets(
-                close((False,) * (len(cells) - w) + (True,) * w),
-                lambda bits: (close(bits[:c] + (True,) + bits[c + 1:])
-                              for c, b in enumerate(bits) if not b))
-            # the automorphisms, as permutations of the cells
-            autos = [[t * w + pairs.index((m[u], m[v]))
-                      for t in range(len(keys)) for (u, v) in pairs]
+            # a map's intent holds pair i's relations at bits k * i up
+            intents = {sum(bits[m[u]][m[v]] << k * i
+                           for i, (u, v) in enumerate(pairs))
+                       for m in constraint_maps(size, n + 1,
+                                                [(p, leq) for p in pairs])}
+            members = [tuple(c >> k * i & (1 << k) - 1 for i in range(w))
+                       for c in closed_sets((1 << k * w) - 1, lambda c: {
+                           c & i for i in intents})]
+            # the automorphisms, as permutations of the pairs
+            autos = [[pairs.index((m[u], m[v])) for (u, v) in pairs]
                      for m, image in zip(perms, images) if image == order]
-            forms: set[tuple[bool, ...]] = set()
-            for bits in sorted(members, key=lambda b: [
-                    (sum(r), [-v for v in r]) for r in rows(b)]):
-                form = min(tuple(map(bits.__getitem__, a)) for a in autos)
+            forms: set[tuple[int, ...]] = set()
+            for masks in sorted(members, key=lambda masks: [
+                    (sum(r), [-v for v in r]) for r in (
+                        [mask >> t & 1 for mask in masks] for t in range(k))]):
+                form = min(tuple(map(masks.__getitem__, a)) for a in autos)
                 if form not in forms:
                     forms.add(form)
-                    rels = {key: frozenset(compress(pairs, r))
-                            for key, r in zip(keys, rows(bits))}
+                    rels = {key: frozenset(pair for pair, mask in
+                                           zip(pairs, masks) if mask >> t & 1)
+                            for t, key in enumerate(keys)}
                     found.append(_trusted(StructSpace, n, size,
                                           MappingProxyType(rels)))
     return tuple(found)
@@ -147,6 +142,7 @@ def _check_lifting(x: StructSpace, n: int, bound: int,
             continue
         for yi, y in enumerate(tests):
             psis = _surjections(y, z)
+            charge(len(phis) * len(psis) * len(lifts[yi]))
             for phi in phis:
                 for psi in psis:
                     if any(all(psi[lam[p]] == phi[p] for p in range(x.size))

@@ -18,8 +18,8 @@ maps.  The membership test files a space's constraints once, then walks
 them for each pair of points with one more constraint on it (with_pair).
 
 closed_sets is the one worklist over a closure system (subuniverses,
-congruences, and the members of the dual category on one order).  Each
-search but S_n's (relations.SN_BUDGET) reads its budget, BUDGET, here.
+congruences, and the intersections of intents behind the dual members).
+Each search but S_n's (relations.SN_BUDGET) reads its budget, BUDGET, here.
 """
 from __future__ import annotations
 
@@ -197,18 +197,18 @@ def isomorphism(size: int, relations: list[tuple[frozenset[Points],
     return next(walk(injective(filed)), None)
 
 
-def closed_sets(bottom: Hashable, above: Callable) -> set:
-    """Every closed set reachable from the least one, bottom, by adding
-    one generator at a time: above(s) yields the closures of s with one
-    generator added, and None for a set outside the system.  Each
-    closure is charged, so past BUDGET of them it raises."""
-    seen = {bottom}
-    frontier = [bottom]
-    closures = count(1)
+def closed_sets(start: Hashable, above: Callable) -> set:
+    """Every closed set reachable from start, one step at a time: above(s)
+    yields the closed sets one step on from s, the closures of s with
+    one generator added, or the intersections of s with each intent.
+    Each one is charged, so past BUDGET of them it raises."""
+    seen = {start}
+    frontier = [start]
+    steps = count(1)
     while frontier:
-        for bigger in above(frontier.pop()):
-            charge(next(closures))
-            if bigger is not None and bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
+        for s in above(frontier.pop()):
+            charge(next(steps))
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
     return seen

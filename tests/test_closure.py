@@ -1,5 +1,5 @@
 import time
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +10,12 @@ from pmvdual.closure import (ClosureReport, _labeled_posets,
                              enumerate_xn_structures, fep_star_check,
                              fhp_star_check, is_algebraically_closed,
                              is_existentially_closed)
-from pmvdual.duality import (StructSpace, dual_space, empty_space,
-                             relation_keys, xn_membership)
+from pmvdual.duality import (StructSpace, _space_of_points, alter_ego,
+                             dual_space, empty_space, relation_keys,
+                             xn_membership)
 from pmvdual.errors import BudgetExceededError, NonMemberError
-from pmvdual.relations import compute_Sn, order_failure, top_seq
+from pmvdual.relations import compute_Sn, lhd_rel, order_failure, top_seq
+from pmvdual.search import constraint_maps
 from pmvdual.skeleton import boolean_lattice, priestley_power
 
 from conftest import chain_lattice
@@ -86,6 +88,83 @@ def oracle_enumeration(n, max_size):
 def test_enumeration_matches_the_oracle_in_order(n, max_size):
     assert [x.canonical_form() for x in enumerate_xn_structures(n, max_size)
             ] == [x.canonical_form() for x in oracle_enumeration(n, max_size)]
+
+
+def closure_per_cell_enumeration(n, max_size):
+    """The enumeration with one morphism search and one pull-back per
+    closure: each closed set of cells (relation, pair) grows by one unset
+    cell at a time, and a closure whose order part is not the order is
+    outside the system.  The order loop, the sort and the fold by
+    automorphisms are the enumeration's own."""
+    keys, ae = relation_keys(n), alter_ego(n).relations   # the order last
+    found, seen_orders = [], set()
+    for size in range(max_size + 1):
+        perms = list(permutations(range(size)))
+        for order in _labeled_posets(size):
+            if order in seen_orders:
+                continue
+            images = [frozenset((m[u], m[v]) for (u, v) in order)
+                      for m in perms]
+            seen_orders.update(images)
+            pairs, w = sorted(order), len(order)
+            cells = list(product(keys, pairs))  # cell t * w + i: pair i in t
+
+            def close(bits):
+                homs = constraint_maps(size, n + 1, [
+                    (pair, ae[key]) for key, pair in compress(cells, bits)])
+                x = _space_of_points(list(zip(*homs)), n)
+                return None if x.order_pairs != order else tuple(
+                    pair in x.relations[key] for key, pair in cells)
+
+            def rows(bits):
+                return [bits[t * w:(t + 1) * w] for t in range(len(keys))]
+
+            bottom = close((False,) * (len(cells) - w) + (True,) * w)
+            members, frontier = {bottom}, [bottom]
+            while frontier:
+                bits = frontier.pop()
+                for bigger in (close(bits[:c] + (True,) + bits[c + 1:])
+                               for c, b in enumerate(bits) if not b):
+                    if bigger is not None and bigger not in members:
+                        members.add(bigger)
+                        frontier.append(bigger)
+            autos = [[t * w + pairs.index((m[u], m[v]))
+                      for t in range(len(keys)) for (u, v) in pairs]
+                     for m, image in zip(perms, images) if image == order]
+            forms = set()
+            for bits in sorted(members, key=lambda b: [
+                    (sum(r), [-v for v in r]) for r in rows(b)]):
+                form = min(tuple(map(bits.__getitem__, a)) for a in autos)
+                if form not in forms:
+                    forms.add(form)
+                    found.append(StructSpace(n, size, {
+                        key: frozenset(compress(pairs, r))
+                        for key, r in zip(keys, rows(bits))}))
+    return found
+
+
+@pytest.mark.parametrize("n, max_size", [(1, 5), (2, 4), (3, 3), (4, 3),
+                                         (5, 2)])
+def test_enumeration_matches_the_closure_per_cell_in_order(n, max_size):
+    assert [x.canonical_form() for x in enumerate_xn_structures(n, max_size)
+            ] == [x.canonical_form()
+                  for x in closure_per_cell_enumeration(n, max_size)]
+
+
+def test_every_alter_ego_relation_holds_the_minimal_one():
+    # so the monotone maps into {0, n} send every cell into the alter
+    # ego, and no intersection of intents pulls a new pair into the order
+    for n in range(1, 9):
+        assert all(lhd_rel(n).pairs <= pairs
+                   for pairs in alter_ego(n).relations.values())
+
+
+def test_enumeration_at_five_points_and_n3_is_quick():
+    # 56.8 s with a morphism search per closure; the bound is loose,
+    # since machine speed varies by up to 2x
+    start = time.perf_counter()
+    assert len(enumerate_xn_structures.__wrapped__(3, 5)) == 18_137
+    assert time.perf_counter() - start < 30
 
 
 @st.composite
@@ -172,6 +251,19 @@ def test_lifting_rejects_non_members():
     bad = two_space(set(), {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
     with pytest.raises(NonMemberError):
         fhp_star_check(bad, 2)
+
+
+def test_the_budget_bounds_the_lifting_check(monkeypatch):
+    # from a discrete space of 9 points, the 510 surjections onto a
+    # discrete two-point Z, the 2 surjections of Y = Z onto it and the
+    # 512 maps into Y make 522 240 triples; at 6 points, 62 * 2 * 64
+    def discrete(size):
+        return two_space(set(), {(p, p) for p in range(size)}, size)
+
+    monkeypatch.setattr(search, "BUDGET", 100_000)
+    assert fhp_star_check(discrete(6), 2).verdict
+    with pytest.raises(BudgetExceededError):
+        fhp_star_check(discrete(9), 2)
 
 
 def test_fhp_on_the_empty_space():
